@@ -539,6 +539,9 @@ mod tests {
 
     #[test]
     fn file_round_trip_and_io_errors() {
+        // Reads a file, so it reaches the process-global ARTIFACT_READ
+        // site another test may have armed: hold the lease.
+        let _scope = faults::scope();
         let dir = std::env::temp_dir().join("mn-artifact-test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("ensemble.mne1");

@@ -1205,6 +1205,11 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    // A started `Server` reaches the process-global fault sites from its
+    // worker threads, so every test below that starts one holds
+    // `faults::scope()` for its whole body, whether or not it arms
+    // anything: a neighbour's armed fault can then never fire in it.
+
     fn plan() -> Arc<EnginePlan> {
         let arch = Architecture::mlp("m", InputSpec::new(1, 2, 2), 3, vec![6]);
         let members: Vec<EnsembleMember> = (0..2)
@@ -1219,6 +1224,7 @@ mod tests {
 
     #[test]
     fn serves_single_requests_with_latency_and_stats() {
+        let _scope = faults::scope();
         let server = Server::start(engine(), BatchingConfig::default());
         let mut rng = StdRng::seed_from_u64(1);
         let mut pending = Vec::new();
@@ -1251,6 +1257,7 @@ mod tests {
 
     #[test]
     fn rejects_wrong_geometry_eagerly() {
+        let _scope = faults::scope();
         let server = Server::start(engine(), BatchingConfig::default());
         let bad = Tensor::zeros([2, 2, 2]);
         assert!(matches!(
@@ -1267,6 +1274,7 @@ mod tests {
 
     #[test]
     fn accepts_three_d_and_unit_batch_examples() {
+        let _scope = faults::scope();
         let server = Server::start(engine(), BatchingConfig::default());
         let a = server.submit(&Tensor::zeros([1, 2, 2])).unwrap();
         let b = server.submit(&Tensor::zeros([1, 1, 2, 2])).unwrap();
@@ -1277,6 +1285,7 @@ mod tests {
 
     #[test]
     fn shutdown_closes_outstanding_clients() {
+        let _scope = faults::scope();
         let server = Server::start(engine(), BatchingConfig::default());
         let client = server.client();
         server.shutdown();
@@ -1288,6 +1297,7 @@ mod tests {
 
     #[test]
     fn micro_batching_coalesces_under_load() {
+        let _scope = faults::scope();
         // A generous wait window plus a burst submitted before the first
         // answer can complete must produce fewer engine calls than
         // requests.
@@ -1317,6 +1327,7 @@ mod tests {
 
     #[test]
     fn sharded_server_answers_every_request() {
+        let _scope = faults::scope();
         let server = Server::builder(plan())
             .shards(3)
             .batching(BatchingConfig {
@@ -1345,6 +1356,7 @@ mod tests {
 
     #[test]
     fn overload_rejects_typed_then_recovers() {
+        let _scope = faults::scope();
         // Tiny queue, small batches: flooding submits must hit the bound
         // with a typed Overloaded error...
         let server = Server::builder(plan())
@@ -1615,6 +1627,7 @@ mod tests {
 
     #[test]
     fn coalescing_never_holds_batch_past_earliest_deadline() {
+        let _scope = faults::scope();
         // A long batching window (500ms) must be cut short by an
         // admitted request's much nearer deadline: the whole batch
         // flushes at ~the deadline, not at the window.
@@ -1714,6 +1727,7 @@ mod tests {
 
     #[test]
     fn submit_rejects_non_finite_examples() {
+        let _scope = faults::scope();
         let server = Server::start(engine(), BatchingConfig::default());
         for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
             let x = Tensor::from_vec([1, 2, 2], vec![0.0, bad, 0.0, 0.0]);
@@ -1738,6 +1752,7 @@ mod tests {
 
     #[test]
     fn cascade_server_reports_uncertainty_and_escalation() {
+        let _scope = faults::scope();
         // Threshold 1.0: (almost) everything trusts the gate. The point
         // here is the surface, not the exit rate: predictions carry
         // uncertainty/escalated and stats count escalations per shard.
@@ -1785,6 +1800,7 @@ mod tests {
 
     #[test]
     fn shutdown_drains_admitted_requests() {
+        let _scope = faults::scope();
         // Requests admitted before shutdown must be answered, not dropped
         // with Closed — even with a batching window that would otherwise
         // hold them open.

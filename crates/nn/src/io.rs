@@ -106,10 +106,14 @@ impl WeightEncoding {
     }
 }
 
-/// CRC-32 (IEEE 802.3, reflected polynomial `0xEDB88320`) lookup table,
-/// built at compile time — the workspace has no checksum dependency.
-const CRC32_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// CRC-32 (IEEE 802.3, reflected polynomial `0xEDB88320`) lookup tables
+/// for slice-by-8, built at compile time — the workspace has no checksum
+/// dependency. `CRC32_TABLES[0]` is the classic byte-at-a-time table;
+/// `CRC32_TABLES[k][b]` is the CRC of byte `b` followed by `k` zero bytes,
+/// which lets eight input bytes fold into the running value with eight
+/// independent lookups instead of a chain of eight dependent ones.
+const CRC32_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -122,21 +126,53 @@ const CRC32_TABLE: [u32; 256] = {
             };
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 };
+
+/// Folds `bytes` into the running (pre-inverted) CRC value one byte at a
+/// time: the tail of [`crc32`], and the oracle its tests compare against.
+fn crc32_bytewise(mut crc: u32, bytes: &[u8]) -> u32 {
+    for &b in bytes {
+        crc = (crc >> 8) ^ CRC32_TABLES[0][((crc ^ b as u32) & 0xFF) as usize];
+    }
+    crc
+}
 
 /// CRC-32 (IEEE) of `bytes` — the checksum closing `MNW1` weight blobs
 /// and `MNE1` ensemble artifacts. Exposed so format-aware tooling (and
-/// corruption tests) can recompute it.
+/// corruption tests) can recompute it. Slice-by-8: eight bytes per step,
+/// the remainder byte by byte.
+// mn-lint: hot-path
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC32_TABLES;
     let mut crc = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        crc = (crc >> 8) ^ CRC32_TABLE[((crc ^ b as u32) & 0xFF) as usize];
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
     }
-    !crc
+    !crc32_bytewise(crc, words.remainder())
 }
 
 /// Errors when restoring a weight blob or network checkpoint.
@@ -409,9 +445,12 @@ pub fn load_weights(net: &mut Network, blob: &[u8]) -> Result<(), WeightsError> 
         }
         match encoding {
             WeightEncoding::F32 => {
-                for v in target.data_mut() {
-                    *v = blob.get_f32_le();
+                // The payload length was bounds-checked just above.
+                let (payload, rest) = blob.split_at(4 * len);
+                for (v, b) in target.data_mut().iter_mut().zip(payload.chunks_exact(4)) {
+                    *v = f32::from_le_bytes([b[0], b[1], b[2], b[3]]);
                 }
+                blob = rest;
             }
             WeightEncoding::F16 => {
                 for v in target.data_mut() {
@@ -673,6 +712,28 @@ mod tests {
         // The clean blob still restores.
         let mut target = Network::seeded(&Architecture::mlp("m", input, 5, vec![8]), 2);
         load_weights(&mut target, &clean).unwrap();
+    }
+
+    #[test]
+    fn crc32_matches_known_value_and_bytewise_oracle() {
+        use rand::{RngCore, SeedableRng};
+        // The standard check value of CRC-32/IEEE.
+        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        let oracle = |bytes: &[u8]| !crc32_bytewise(0xFFFF_FFFF, bytes);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(17);
+        let mut buf = vec![0u8; 5000];
+        buf.iter_mut().for_each(|b| *b = rng.next_u32() as u8);
+        // Every short length (none, only a tail, whole words, both) ...
+        for len in 0..=64 {
+            assert_eq!(crc32(&buf[..len]), oracle(&buf[..len]), "length {len}");
+        }
+        // ... and multi-KB buffers starting at each of the 8 alignments.
+        for start in 0..8 {
+            for len in [1024, 2049, 4991] {
+                let bytes = &buf[start..start + len];
+                assert_eq!(crc32(bytes), oracle(bytes), "start {start}, length {len}");
+            }
+        }
     }
 
     /// Max absolute weight drift after a save/load round trip under

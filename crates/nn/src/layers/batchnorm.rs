@@ -224,26 +224,29 @@ impl BatchNorm {
     /// inv-std scratch is staged in the workspace.
     // mn-lint: hot-path
     pub fn forward_eval_ws(&self, x: &Tensor, ws: &mut Workspace) -> Tensor {
-        let (nb, cc, inner) = self.group_geometry(x);
+        let (_, cc, inner) = self.group_geometry(x);
         let mut y = ws.acquire_uninit(x.shape().dims());
         let mut inv_std = ws.acquire_uninit([cc]);
         for (o, &v) in inv_std.data_mut().iter_mut().zip(self.running_var.data()) {
             *o = 1.0 / (v + self.eps).sqrt();
         }
-        {
-            let xd = x.data();
-            let yd = y.data_mut();
+        if !y.is_empty() {
             let g = self.gamma.value.data();
             let b = self.beta.value.data();
             let rm = self.running_mean.data();
             let isd = inv_std.data();
-            for n in 0..nb {
-                for c in 0..cc {
-                    let base = (n * cc + c) * inner;
-                    let mu = rm[c];
-                    let is = isd[c];
-                    for i in base..base + inner {
-                        yd[i] = g[c] * (xd[i] - mu) * is + b[c];
+            let items = x
+                .data()
+                .chunks_exact(cc * inner)
+                .zip(y.data_mut().chunks_exact_mut(cc * inner));
+            for (xi, yi) in items {
+                let planes = xi.chunks_exact(inner).zip(yi.chunks_exact_mut(inner));
+                for (c, (xp, yp)) in planes.enumerate() {
+                    // Per-channel constants out of the element loop, which
+                    // then runs over two plain slices and vectorises.
+                    let (gc, mu, is, bc) = (g[c], rm[c], isd[c], b[c]);
+                    for (o, &v) in yp.iter_mut().zip(xp) {
+                        *o = gc * (v - mu) * is + bc;
                     }
                 }
             }
@@ -376,6 +379,35 @@ mod tests {
         let x = Tensor::randn([2, 3, 4, 4], 1.0, &mut rng);
         let y = bn.forward(&x, false);
         assert_close(y.data(), x.data(), 1e-6);
+    }
+
+    #[test]
+    fn eval_is_the_scalar_formula_bit_for_bit() {
+        // `g * (x - mu) * is + b`, left to right, per element: the hoisted,
+        // slice-zipped loop must round exactly like the indexed one did.
+        let mut rng = StdRng::seed_from_u64(6);
+        for (layout, dims) in [
+            (BnLayout::Spatial, vec![3, 5, 3, 7]),
+            (BnLayout::Flat, vec![4, 5]),
+            (BnLayout::Spatial, vec![0, 5, 2, 2]),
+        ] {
+            let mut bn = BatchNorm::new(5, layout);
+            bn.gamma.value = Tensor::randn([5], 1.0, &mut rng);
+            bn.beta.value = Tensor::randn([5], 1.0, &mut rng);
+            bn.running_mean = Tensor::randn([5], 1.0, &mut rng);
+            bn.running_var = Tensor::from_vec([5], vec![0.3, 1.0, 2.5, 0.01, 7.0]);
+            let x = Tensor::randn(dims.clone(), 2.0, &mut rng);
+            let y = bn.forward_eval_ws(&x, &mut Workspace::new());
+            assert_eq!(y.shape(), x.shape());
+            let inner: usize = dims[2..].iter().product();
+            for (i, (&yv, &xv)) in y.data().iter().zip(x.data()).enumerate() {
+                let c = i / inner % 5;
+                let is = 1.0 / (bn.running_var.data()[c] + bn.eps).sqrt();
+                let want = bn.gamma.value.data()[c] * (xv - bn.running_mean.data()[c]) * is
+                    + bn.beta.value.data()[c];
+                assert_eq!(yv.to_bits(), want.to_bits(), "{layout:?} element {i}");
+            }
+        }
     }
 
     #[test]

@@ -1,9 +1,10 @@
 //! 2-D convolutional layer (stride 1, same padding).
 //!
 //! The forward pass picks between the two kernel formulations in
-//! `mn-tensor` per layer shape: im2col + blocked GEMM when the reduction
-//! depth `C·K·K` is deep enough for the register-tiled matmul to win,
-//! direct scalar×row accumulation otherwise (1×1 kernels on few
+//! `mn-tensor` per layer shape: the GEMM micro-kernel (a fused
+//! implicit-GEMM pass forward, im2col + blocked GEMM backward) when the
+//! reduction depth `C·K·K` is deep enough for the register-tiled kernel
+//! to win, direct scalar×row accumulation otherwise (1×1 kernels on few
 //! channels). Both are pinned to the same outputs by the
 //! `kernel_equivalence` property suite.
 
@@ -149,8 +150,8 @@ impl ConvLayer {
     }
 
     /// [`ConvLayer::forward`] staging its output (and, on the GEMM path,
-    /// the im2col scratch; in train mode, the cached-input copy) in a
-    /// [`Workspace`].
+    /// the kernel's packing scratch; in train mode, the cached-input copy)
+    /// in a [`Workspace`].
     pub fn forward_ws(&mut self, x: &Tensor, train: bool, ws: &mut Workspace) -> Tensor {
         let y = self.forward_eval_ws(x, ws);
         if train {

@@ -41,14 +41,18 @@ pub fn for_each_chunk(
     }
 }
 
-/// [`for_each_chunk`] over two equally-chunked buffers (an output and its
-/// argmax companion).
-pub fn for_each_chunk_zip(
+/// [`for_each_chunk`] over an output and a companion buffer of any element
+/// type, chunked `chunk` and `aux_chunk` elements at a time: chunk `i` of
+/// `data` is paired with chunk `i` of `aux`. Max pooling pairs each item's
+/// output with its argmax indices (the same chunk size twice); the fused
+/// convolution pairs each batch range with its private scratch piece.
+pub fn for_each_chunk_zip<T: Send>(
     data: &mut [f32],
-    aux: &mut [usize],
+    aux: &mut [T],
     chunk: usize,
+    aux_chunk: usize,
     parallel_worthwhile: bool,
-    f: impl Fn(usize, &mut [f32], &mut [usize]) + Sync,
+    f: impl Fn(usize, &mut [f32], &mut [T]) + Sync,
 ) {
     if data.is_empty() || chunk == 0 {
         return;
@@ -57,14 +61,14 @@ pub fn for_each_chunk_zip(
     if items <= 1 || !parallel_worthwhile || rayon::current_num_threads() <= 1 {
         for (i, (c, a)) in data
             .chunks_mut(chunk)
-            .zip(aux.chunks_mut(chunk))
+            .zip(aux.chunks_mut(aux_chunk))
             .enumerate()
         {
             f(i, c, a);
         }
     } else {
         data.par_chunks_mut(chunk)
-            .zip(aux.par_chunks_mut(chunk))
+            .zip(aux.par_chunks_mut(aux_chunk))
             .enumerate()
             .for_each(|(i, (c, a))| f(i, c, a));
     }
@@ -146,7 +150,9 @@ mod tests {
         for_each_chunk(&mut [], 4, true, |_, _| panic!("must not run"));
         let mut data = [1.0f32; 4];
         for_each_chunk(&mut data, 0, true, |_, _| panic!("must not run"));
-        for_each_chunk_zip(&mut [], &mut [], 4, true, |_, _, _| panic!("must not run"));
+        for_each_chunk_zip(&mut [], &mut [0usize; 0], 4, 4, true, |_, _, _| {
+            panic!("must not run")
+        });
         for_each_chunk3(&mut [], &mut [], &mut [], 4, true, |_, _, _, _| {
             panic!("must not run")
         });
@@ -165,12 +171,25 @@ mod tests {
     fn zip_pairs_aux_chunks() {
         let mut data = [0.0f32; 6];
         let mut aux = [0usize; 6];
-        for_each_chunk_zip(&mut data, &mut aux, 3, false, |i, c, a| {
+        for_each_chunk_zip(&mut data, &mut aux, 3, 3, false, |i, c, a| {
             c.iter_mut().for_each(|v| *v = i as f32);
             a.iter_mut().for_each(|v| *v = 10 * i);
         });
         assert_eq!(data, [0., 0., 0., 1., 1., 1.]);
         assert_eq!(aux, [0, 0, 0, 10, 10, 10]);
+        // Differently sized companions: chunk i still meets aux chunk i,
+        // on the inline and the fanned-out path alike.
+        for parallel in [false, true] {
+            let mut data = [0.0f32; 6];
+            let mut scratch = [0.0f32; 4];
+            for_each_chunk_zip(&mut data, &mut scratch, 3, 2, parallel, |i, c, a| {
+                assert_eq!((c.len(), a.len()), (3, 2));
+                c.iter_mut().for_each(|v| *v = i as f32);
+                a.iter_mut().for_each(|v| *v = 7.0 + i as f32);
+            });
+            assert_eq!(data, [0., 0., 0., 1., 1., 1.]);
+            assert_eq!(scratch, [7., 7., 8., 8.]);
+        }
     }
 
     #[test]

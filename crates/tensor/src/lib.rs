@@ -20,9 +20,10 @@
 //! repeated forward **and backward** passes without reallocating
 //! activations, gradients, or im2col scratch — [`Shape`] stores its
 //! extents inline so even tensor construction stays off the allocator.
-//! Convolution's backward pass lowers onto the same GEMM core as its
-//! forward pass (col2im input gradient, im2col-transposed weight
-//! gradient — see [`im2col`]). All parallel kernels are
+//! Convolution lowers onto the same GEMM micro-kernel in both directions:
+//! forward as one fused implicit-GEMM pass with no patch matrix, backward
+//! as im2col + GEMM (col2im input gradient, im2col-transposed weight
+//! gradient) — see [`im2col`]. All parallel kernels are
 //! bitwise-deterministic across thread counts: work is only ever split
 //! over disjoint output regions whose per-element accumulation order is
 //! fixed. The hottest inner loops (the GEMM micro-kernel, axpy, the

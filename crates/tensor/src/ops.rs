@@ -153,7 +153,7 @@ pub mod reference {
 
 /// How the GEMM core's packing routines read their operands.
 #[derive(Clone, Copy, PartialEq, Eq)]
-enum AShape {
+pub(crate) enum AShape {
     /// `A: [m, k]`, element `(i, p)` at `a[i * k + p]`.
     RowMajor,
     /// `A: [k, m]` interpreted transposed, element `(i, p)` at
@@ -215,7 +215,14 @@ pub(crate) fn microkernel_scalar(
 /// Packs the `MR`-row tile of A starting at output row `i0` into
 /// `dst: [k × MR]`, zero-padding rows past `m`.
 #[inline]
-fn pack_a_tile(dst: &mut [f32], a: &[f32], shape: AShape, m: usize, k: usize, i0: usize) {
+pub(crate) fn pack_a_tile(
+    dst: &mut [f32],
+    a: &[f32],
+    shape: AShape,
+    m: usize,
+    k: usize,
+    i0: usize,
+) {
     let rows = MR.min(m - i0);
     match shape {
         AShape::RowMajor => {
@@ -392,8 +399,8 @@ fn gemm_driver(
 ///
 /// Every GEMM entry point takes its operands as `impl Into<MatRef>`, so a
 /// plain 2-D [`Tensor`] works directly — and callers whose storage is
-/// already the right matrix under a different logical shape (the im2col
-/// convolution path reads the `[F, C, K, K]` weight tensor as its
+/// already the right matrix under a different logical shape (the
+/// convolution backward pass reads the `[F, C, K, K]` weight tensor as its
 /// `[F, C·K·K]` matrix) route through the same public entry points via
 /// [`MatRef::reshaped`], with no reshape copy and no raw side doors.
 #[derive(Clone, Copy, Debug)]
@@ -600,9 +607,7 @@ pub fn matmul_nt(a: &Tensor, b: &Tensor) -> Tensor {
 }
 
 /// [`matmul_nt`] writing into a caller-provided output tensor. Operands
-/// are anything viewable as a matrix (a 2-D [`Tensor`] or a [`MatRef`]) —
-/// the im2col convolution path passes the `[F, C, K, K]` weight tensor as
-/// `MatRef::reshaped(weight, f, c*k*k)` to avoid a reshape copy.
+/// are anything viewable as a matrix (a 2-D [`Tensor`] or a [`MatRef`]).
 ///
 /// # Panics
 ///
@@ -684,10 +689,10 @@ pub fn add_row_bias(x: &mut Tensor, bias: &Tensor) {
         "bias shape {} does not match row width {n}",
         bias.shape()
     );
-    let bd: Vec<f32> = bias.data().to_vec();
+    let bd = bias.data();
     let xd = x.data_mut();
     for i in 0..m {
-        crate::simd::axpy(1.0, &bd, &mut xd[i * n..(i + 1) * n]);
+        crate::simd::axpy(1.0, bd, &mut xd[i * n..(i + 1) * n]);
     }
 }
 

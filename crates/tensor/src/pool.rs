@@ -133,6 +133,7 @@ pub fn maxpool2x2_forward_into(input: &Tensor, out: &mut Tensor, argmax: &mut Ve
         out.data_mut(),
         argmax,
         out_item,
+        out_item,
         n_batch * out_item >= PARALLEL_ELEMENT_THRESHOLD,
         pool_one,
     );

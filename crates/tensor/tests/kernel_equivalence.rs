@@ -378,3 +378,202 @@ fn conv_backends_bitwise_identical() {
     });
     assert_eq!(scalar.data(), avx2.data());
 }
+
+// ---------------------------------------------------------------------------
+// The fused implicit-GEMM forward convolution. Its contract is bit identity
+// with the composition it replaced (explicit patch matrix, `A · Bᵀ` GEMM,
+// transpose + bias), which survives only here, built from the still-public
+// pieces, as the `to_bits` reference.
+// ---------------------------------------------------------------------------
+
+/// The pre-fusion forward convolution: `im2col_into`, `matmul_nt_into`
+/// against the `[F, C·K·K]` weight view, then `[N·H'·W', F]` → NCHW with
+/// the bias added last.
+fn conv_forward_unfused(input: &Tensor, weight: &Tensor, bias: &Tensor, pad: usize) -> Tensor {
+    let d = input.shape().dims();
+    let (n, c, h, w) = (d[0], d[1], d[2], d[3]);
+    let (f, k) = (weight.shape().dim(0), weight.shape().dim(2));
+    let ho = conv::conv_out_extent(h, k, pad);
+    let wo = conv::conv_out_extent(w, k, pad);
+    let mut cols = Tensor::zeros([n * ho * wo, c * k * k]);
+    im2col::im2col_into(input, k, pad, &mut cols);
+    let mut prod = Tensor::zeros([n * ho * wo, f]);
+    ops::matmul_nt_into(
+        &cols,
+        ops::MatRef::reshaped(weight, f, c * k * k),
+        &mut prod,
+    );
+    let mut out = Tensor::zeros([n, f, ho, wo]);
+    for b in 0..n {
+        for fi in 0..f {
+            for p in 0..ho * wo {
+                out.data_mut()[(b * f + fi) * ho * wo + p] =
+                    prod.data()[(b * ho * wo + p) * f + fi] + bias.data()[fi];
+            }
+        }
+    }
+    out
+}
+
+fn bits(t: &Tensor) -> Vec<u32> {
+    t.data().iter().map(|v| v.to_bits()).collect()
+}
+
+/// Refills every pooled buffer of `ws` with NaN, so whatever a kernel reads
+/// from scratch it did not first write shows up in its output.
+fn poison(ws: &mut Workspace) {
+    let mut bufs = Vec::new();
+    while ws.pooled_buffers() > 0 {
+        bufs.push(ws.acquire_uninit([0]).into_vec());
+    }
+    for mut buf in bufs {
+        buf.clear();
+        buf.resize(buf.capacity(), f32::NAN);
+        let len = buf.len();
+        ws.release(Tensor::from_vec([len], buf));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Fused forward == unfused composition, bit for bit: empty and
+    /// one-example batches, filter counts straddling MR, position counts
+    /// straddling NR, planes smaller than one panel, odd planes (panels
+    /// that straddle images), every kernel size with and without padding.
+    #[test]
+    fn conv_fused_forward_bit_identical_to_unfused(
+        n in 0usize..10,
+        c in 1usize..21,
+        f in 0usize..36,
+        h in 1usize..11,
+        w in 1usize..11,
+        k_idx in 0usize..3,
+        pad_same in proptest::bool::ANY,
+        seed in 0u64..1_000_000,
+    ) {
+        let k = [1usize, 3, 5][k_idx];
+        let pad = if pad_same { k / 2 } else { 0 };
+        prop_assume!(h + 2 * pad >= k && w + 2 * pad >= k);
+        let input = randn(vec![n, c, h, w], seed);
+        let weight = randn(vec![f, c, k, k], seed + 1);
+        let bias = randn(vec![f], seed + 2);
+        let want = conv_forward_unfused(&input, &weight, &bias, pad);
+        let got = im2col::conv2d_forward_im2col(&input, &weight, &bias, pad);
+        prop_assert_eq!(got.shape(), want.shape());
+        prop_assert_eq!(bits(&got), bits(&want));
+    }
+}
+
+/// An example's output bits do not depend on what else is in the batch or
+/// where in it the example sits (panels straddle images, so neighbours
+/// share micro-kernel calls — but never accumulators).
+#[test]
+fn conv_fused_forward_is_batch_composition_invariant() {
+    // (C, F, H, W, K): a panel-aligned plane, an odd one, one smaller than
+    // a panel.
+    for &(c, f, h, w, k) in &[(8, 8, 8, 8, 3), (5, 13, 7, 5, 3), (16, 24, 2, 2, 3)] {
+        let item = c * h * w;
+        let batch = randn(vec![64, c, h, w], 90);
+        let weight = randn(vec![f, c, k, k], 91);
+        let bias = randn(vec![f], 92);
+        let full = im2col::conv2d_forward_im2col(&batch, &weight, &bias, k / 2);
+        let out_item = full.len() / 64;
+        for i in [0usize, 17, 63] {
+            let example = &batch.data()[i * item..(i + 1) * item];
+            let want = &bits(&full)[i * out_item..(i + 1) * out_item];
+            let alone = Tensor::from_vec([1, c, h, w], example.to_vec());
+            let alone = im2col::conv2d_forward_im2col(&alone, &weight, &bias, k / 2);
+            assert_eq!(bits(&alone), want, "example {i} alone, plane {h}x{w}");
+            // The same example at index 2 of an unrelated batch of 5.
+            let mut other = randn(vec![5, c, h, w], 93);
+            other.data_mut()[2 * item..3 * item].copy_from_slice(example);
+            let other = im2col::conv2d_forward_im2col(&other, &weight, &bias, k / 2);
+            assert_eq!(
+                &bits(&other)[2 * out_item..3 * out_item],
+                want,
+                "example {i} moved, plane {h}x{w}"
+            );
+        }
+    }
+}
+
+/// The batch fan-out cannot change a bit: one thread, four threads, whole
+/// panel-aligned ranges (large batch) and per-image ranges with a partial
+/// panel each (a batch no larger than the range rounding, odd plane), and
+/// a last range cut short. Every shape is 5-7 M multiply-adds, enough to
+/// actually fan out.
+#[test]
+fn conv_fused_forward_bitwise_identical_across_thread_counts() {
+    for &(n, c, f, h, w) in &[(96, 8, 16, 8, 8), (13, 24, 40, 7, 7), (70, 16, 48, 5, 3)] {
+        let input = randn(vec![n, c, h, w], 70);
+        let weight = randn(vec![f, c, 3, 3], 71);
+        let bias = randn(vec![f], 72);
+        let run = |threads: usize| {
+            rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .unwrap()
+                .install(|| im2col::conv2d_forward_im2col(&input, &weight, &bias, 1))
+        };
+        let one = run(1);
+        assert_eq!(bits(&one), bits(&run(4)), "n {n}, plane {h}x{w}");
+        assert_eq!(
+            bits(&one),
+            bits(&conv_forward_unfused(&input, &weight, &bias, 1)),
+            "n {n}, plane {h}x{w}"
+        );
+    }
+}
+
+/// Scalar and AVX2 dispatch agree bitwise through the fused convolution on
+/// shapes with partial filter tiles and partial panels.
+#[test]
+fn conv_fused_forward_backends_bitwise_identical() {
+    use mn_tensor::simd::{self, Backend};
+    if !simd::avx2_available() {
+        eprintln!("skipping: AVX2+FMA not available on this CPU");
+        return;
+    }
+    for &(n, c, f, h, w, k) in &[
+        (3, 5, 13, 7, 5, 3),
+        (9, 20, 35, 2, 2, 3),
+        (2, 3, 4, 9, 10, 5),
+    ] {
+        let input = randn(vec![n, c, h, w], 60);
+        let weight = randn(vec![f, c, k, k], 61);
+        let bias = randn(vec![f], 62);
+        let conv = || im2col::conv2d_forward_im2col(&input, &weight, &bias, k / 2);
+        let scalar = simd::with_backend(Backend::Scalar, conv);
+        let avx2 = simd::with_backend(Backend::Avx2, conv);
+        assert_eq!(bits(&scalar), bits(&avx2), "plane {h}x{w}, k {k}");
+    }
+}
+
+/// A warm workspace whose every pooled float is NaN — after a larger shape
+/// and again before a smaller one, so the smaller call's staging, panels
+/// and filter tiles all sit inside longer, poisoned buffers — changes
+/// nothing: no scratch element is read before it is written.
+#[test]
+fn conv_fused_forward_ignores_poisoned_warm_workspace() {
+    let mut ws = Workspace::new();
+    for _ in 0..4 {
+        ws.release(Tensor::filled([1 << 16], f32::NAN));
+    }
+    // Larger then smaller; the smaller ends in a partial panel (3·35 = 105
+    // positions) and a partial filter tile (13 filters).
+    for &(n, c, f, h, w, k) in &[
+        (6, 12, 24, 9, 8, 3),
+        (3, 5, 13, 7, 5, 5),
+        (1, 3, 4, 2, 2, 3),
+    ] {
+        let input = randn(vec![n, c, h, w], 80);
+        let weight = randn(vec![f, c, k, k], 81);
+        let bias = randn(vec![f], 82);
+        let fresh = im2col::conv2d_forward_im2col(&input, &weight, &bias, k / 2);
+        poison(&mut ws);
+        let warm = im2col::conv2d_forward_im2col_ws(&input, &weight, &bias, k / 2, &mut ws);
+        assert_eq!(bits(&warm), bits(&fresh), "shape {n}x{c}x{h}x{w}");
+        ws.release(warm);
+    }
+}
