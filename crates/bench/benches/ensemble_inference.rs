@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use mn_bench::kernels::{bench_ensemble_members, force_conv_formulation};
-use mn_ensemble::{InferenceEngine, MemberPredictions};
+use mn_ensemble::{EnginePlan, MemberPredictions};
 use mn_nn::layers::ConvFormulation;
 use mn_tensor::Tensor;
 use rand::rngs::StdRng;
@@ -15,8 +15,10 @@ fn bench_engine_vs_naive(c: &mut Criterion) {
     let x = Tensor::randn([64, 3, 8, 8], 1.0, &mut StdRng::seed_from_u64(2));
     let mut group = c.benchmark_group("ensemble_infer_8x64");
 
-    let mut engine =
-        InferenceEngine::new(bench_ensemble_members(), 32).expect("bench ensemble builds");
+    let mut engine = EnginePlan::new(bench_ensemble_members(), 32)
+        .expect("bench ensemble builds")
+        .into_shared()
+        .session();
     group.bench_function("engine", |b| b.iter(|| black_box(engine.predict(&x))));
 
     let mut naive = bench_ensemble_members();
@@ -37,8 +39,10 @@ fn bench_engine_batch_sizes(c: &mut Criterion) {
     let x = Tensor::randn([256, 3, 8, 8], 1.0, &mut StdRng::seed_from_u64(3));
     let mut group = c.benchmark_group("engine_batch_size");
     for bs in [16usize, 64, 256] {
-        let mut engine =
-            InferenceEngine::new(bench_ensemble_members(), bs).expect("bench ensemble builds");
+        let mut engine = EnginePlan::new(bench_ensemble_members(), bs)
+            .expect("bench ensemble builds")
+            .into_shared()
+            .session();
         group.bench_function(format!("bs{bs}_n256"), |b| {
             b.iter(|| black_box(engine.predict(&x)))
         });
@@ -59,8 +63,10 @@ fn bench_engine_policies(c: &mut Criterion) {
         ),
         ("auto", ExecPolicy::Auto),
     ] {
-        let mut engine =
-            InferenceEngine::new(bench_ensemble_members(), 32).expect("bench ensemble builds");
+        let mut engine = EnginePlan::new(bench_ensemble_members(), 32)
+            .expect("bench ensemble builds")
+            .into_shared()
+            .session();
         engine.set_policy(policy);
         group.bench_function(label, |b| b.iter(|| black_box(engine.predict(&x))));
     }

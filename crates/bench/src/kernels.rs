@@ -14,7 +14,7 @@
 //!   [`KernelBenchResult::compiled_avx2`] flag records whether the build
 //!   itself targeted AVX2, which decides where CI gates the speedup;
 //! * **ensemble inference** — the batched parallel
-//!   [`mn_ensemble::InferenceEngine`] vs the naive path — members run
+//!   [`mn_ensemble::EngineSession`] vs the naive path — members run
 //!   one-by-one on a single thread with the pre-PR direct convolution
 //!   formulation and no workspace reuse — on an 8-member convolutional
 //!   ensemble.
@@ -22,7 +22,7 @@
 //! Run via `cargo run --release -p mn-bench --bin kernels` — prints a
 //! table and saves `results/kernels.json`.
 
-use mn_ensemble::{EnsembleMember, InferenceEngine, MemberPredictions};
+use mn_ensemble::{EnginePlan, EnsembleMember, MemberPredictions};
 use mn_nn::arch::{Architecture, ConvBlockSpec, InputSpec};
 use mn_nn::layers::ConvFormulation;
 use mn_nn::{LayerNode, Network};
@@ -210,8 +210,10 @@ pub fn run(reps: usize) -> KernelBenchResult {
     for m in naive_members.iter_mut() {
         force_conv_formulation(&mut m.network, ConvFormulation::Direct);
     }
-    let mut engine =
-        InferenceEngine::new(bench_ensemble_members(), 32).expect("bench ensemble builds");
+    let mut engine = EnginePlan::new(bench_ensemble_members(), 32)
+        .expect("bench ensemble builds")
+        .into_shared()
+        .session();
     comparisons.push(compare(
         "ensemble_infer_8x64",
         reps,

@@ -46,9 +46,7 @@
 
 use std::time::Instant;
 
-use mn_ensemble::engine::{
-    calibrate, Confidence, EnginePlan, EngineSession, ExecPolicy, InferenceEngine,
-};
+use mn_ensemble::engine::{calibrate, Confidence, EnginePlan, EngineSession, ExecPolicy};
 use mn_ensemble::faults::{self, FaultAction};
 use mn_ensemble::serve::{BatchingConfig, ServeError, Server};
 use mn_ensemble::{EnsembleManifest, EnsembleMember, WeightEncoding};
@@ -445,7 +443,7 @@ fn percentile_ms(sorted: &[f64], p: f64) -> f64 {
 /// (the shared helper's warm-up call also fills workspaces / replica
 /// lanes).
 fn policy_examples_per_sec(
-    engine: &mut InferenceEngine,
+    engine: &mut EngineSession,
     policy: ExecPolicy,
     x: &Tensor,
     reps: usize,
@@ -555,7 +553,7 @@ fn measure_trunk_sharing(reps: usize) -> TrunkSharingResult {
 
     let mut rng = StdRng::seed_from_u64(5);
     let x = Tensor::randn([256, 3, 8, 8], 1.0, &mut rng);
-    let mut engine = InferenceEngine::from_plan(std::sync::Arc::clone(&plan));
+    let mut engine = plan.session();
     let trunk_policy = ExecPolicy::TrunkShared {
         shards: rayon::current_num_threads(),
     };
@@ -994,7 +992,7 @@ pub fn run(requests: usize, clients: usize, reps: usize) -> ServingBenchResult {
 
     // --- engine policy sweep on a large batch ---
     let sweep = Tensor::randn([256, 3, 8, 8], 1.0, &mut rng);
-    let mut engine = InferenceEngine::from_plan(std::sync::Arc::clone(&loaded_plan));
+    let mut engine = loaded_plan.session();
     let threads = rayon::current_num_threads();
     let policies = vec![
         PolicyThroughput {

@@ -610,9 +610,9 @@ impl TrainedEnsemble {
     }
 
     /// Serializes the trained members as `MNE1` ensemble-artifact bytes
-    /// (see `mn_ensemble::artifact`). An `InferenceEngine` booted from
-    /// these bytes produces predictions bitwise identical to one built
-    /// from [`TrainedEnsemble::members`] directly.
+    /// (see `mn_ensemble::artifact`). An `EnginePlan` booted from these
+    /// bytes produces predictions bitwise identical to one built from
+    /// [`TrainedEnsemble::members`] directly.
     pub fn to_artifact_bytes(&self) -> Vec<u8> {
         mn_ensemble::artifact::save_ensemble(&self.members, &self.manifest())
     }

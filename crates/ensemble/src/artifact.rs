@@ -25,7 +25,7 @@
 //! predictions bitwise identical to the ensemble that was saved (pinned
 //! by the `serving_stack` integration suite). `TrainedEnsemble::save` in
 //! the `mothernets` crate writes this format;
-//! [`crate::engine::InferenceEngine::load`] boots from it.
+//! [`crate::engine::EnginePlan::load`] boots from it.
 
 use std::fmt;
 use std::path::Path;

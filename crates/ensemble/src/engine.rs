@@ -15,63 +15,64 @@
 //!   copy of the ensemble concurrently.
 //! * [`EngineSession`] — everything mutable and per-worker: workspaces
 //!   (activations, im2col scratch, GEMM packing buffers), replica-lane
-//!   scratch for data-parallel plans, and staging buffers. Sessions are
+//!   scratch for sharded plans, and staging buffers. Sessions are
 //!   cheap — a handful of empty buffer pools — so a server spins up one
 //!   per shard without cloning a single weight.
 //!
-//! [`InferenceEngine`] remains as a thin compatibility facade: one plan
-//! plus one session, with the same API surface earlier PRs exposed, so
-//! existing call sites keep working during migration.
+//! ## One pass, four plans
 //!
-//! ## Execution plans
+//! Every request runs the same private loop, `EngineSession::pass`: cut
+//! the rows into contiguous shards
+//! ([`mn_tensor::chunking::shard_ranges`]), one per *replica lane* (a
+//! per-member set of workspaces — the weights stay shared); each lane
+//! walks its shard in `batch_size` chunks, stages the chunk **once**
+//! whatever the member count, optionally runs member 0's leading `trunk`
+//! nodes once, fans every requested member's remaining nodes plus the
+//! softmax across rayon workers, and writes each member's rows straight
+//! into its `[N, K]` output. A [`Plan`] only sets the loop's parameters:
 //!
-//! Each request batch resolves to a plan along one of the parallelism
-//! axes:
+//! | plan | shards | trunk | members |
+//! |------|--------|-------|---------|
+//! | [`Plan::MemberParallel`] | 1 | 0 | all |
+//! | [`Plan::DataParallel`] | `shards` | 0 | all |
+//! | [`Plan::TrunkShared`] | `shards` | [`EnginePlan::trunk_len`] | all |
+//! | [`Plan::Cascade`] gate | 1 | trunk if [`EnginePlan::shares_trunk`] | member 0 |
+//! | [`Plan::Cascade`] escalation | 1 | same | members 1.. over the survivors |
 //!
-//! * **Member-parallel** ([`Plan::MemberParallel`]) — each member runs the
-//!   whole batch on its own worker slot (shared member + private
-//!   [`Workspace`]), fanned across rayon worker threads. The right axis
-//!   when the member count already saturates the machine, and for small
-//!   batches.
-//! * **Data-parallel** ([`Plan::DataParallel`]) — the batch is split into
-//!   contiguous shards ([`mn_tensor::chunking::shard_ranges`]); each shard
-//!   runs on its own *replica lane* (a per-member set of workspaces — the
-//!   weights stay shared), and per-member outputs are stitched back in
-//!   example order. Lanes are materialized lazily, so a session that
-//!   never runs a data-parallel plan never pays the extra scratch.
-//! * **Trunk-shared** ([`Plan::TrunkShared`]) — members hatched from one
-//!   MotherNet share a common prefix of bitwise-identical layers (the
-//!   paper's hatching step). The plan detects that prefix at build time
-//!   ([`EnginePlan::trunk_len`]), evaluates it **once** per mini-batch
-//!   chunk, and fans only the divergent tails across members — roughly
-//!   `1/K` of the trunk FLOPs for a `K`-member ensemble with a deep
-//!   trunk. Shards compose with this axis exactly as in data-parallel.
-//! * **Cascade** ([`Plan::Cascade`]) — an *early-exit* axis orthogonal to
-//!   the three above: one cheap gate pass (member 0 — over the shared
-//!   trunk when the plan has one) scores every example's uncertainty
-//!   first; examples the gate is confident about return its answer
-//!   immediately, and only the uncertain remainder is re-fanned across
-//!   the full ensemble, restitched in example order. Unlike the other
-//!   axes this plan trades *work* for latency, so it is opt-in
-//!   ([`ExecPolicy::Cascade`]) and surfaced through
-//!   [`EngineSession::predict_scored`]; the threshold should come from
-//!   [`calibrate`] against held-out data. At threshold 0 the cascade
-//!   never exits early and is bitwise identical to the flat plans.
+//! * **Shards** buy parallelism when the batch is large and threads
+//!   outnumber members. Lanes are materialized lazily, so a session that
+//!   never shards never pays the extra scratch.
+//! * **Trunk** — members hatched from one MotherNet share a prefix of
+//!   bitwise-identical layers (the paper's hatching step). The plan
+//!   detects it at build time and the pass evaluates it once per chunk
+//!   instead of once per member: roughly `1/K` of the trunk FLOPs for a
+//!   `K`-member ensemble with a deep trunk.
+//! * **Cascade** is the one plan that trades *work* for latency: the
+//!   gate pass scores every example's uncertainty with member 0 alone,
+//!   confident examples return its answer, and only the uncertain
+//!   remainder — gathered into one contiguous batch, with the gate's
+//!   trunk activations when there is a shared trunk — goes through a
+//!   second pass over the other members. It is opt-in
+//!   ([`ExecPolicy::Cascade`]), surfaced through
+//!   [`EngineSession::predict_scored`], and its threshold should come
+//!   from [`calibrate`]. At threshold 0 nothing exits early.
 //!
-//! [`ExecPolicy::Auto`] (the default) prefers the trunk-shared axis
-//! whenever the detected trunk contains parameterized work, and otherwise
-//! picks between the flat axes per batch from batch size × member count ×
-//! worker-thread count; [`EnginePlan::resolve`] exposes the decision for
-//! inspection and tests.
+//! [`ExecPolicy::Auto`] (the default) shares the trunk whenever it
+//! contains parameterized work, and otherwise picks a shard count per
+//! batch from batch size × member count × worker-thread count;
+//! [`EnginePlan::resolve`] exposes the decision for inspection and tests.
 //!
 //! ## Determinism
 //!
-//! Output is bitwise identical across execution plans, shard counts,
-//! session counts, thread counts, and the old-vs-new API: every tensor
-//! kernel partitions work over disjoint output regions with a fixed
-//! per-element accumulation order, and each example's forward pass is
-//! independent of its batch neighbors. The `engine_determinism`
-//! integration suite pins this property.
+//! Output is bitwise identical across plans, shard counts, session
+//! counts and thread counts, because the parameters above never change
+//! what is computed for a row: every row goes through the same node walk
+//! over the same nodes (prefix-then-tail is the whole-network walk cut in
+//! two), each example's forward pass is independent of its batch
+//! neighbors, and every tensor kernel partitions work over disjoint
+//! output regions with a fixed per-element accumulation order. The
+//! `engine_determinism`, `trunk_sharing` and `cascade_serving`
+//! integration suites pin this against a plan-free reference.
 //!
 //! ## Cold start
 //!
@@ -102,10 +103,12 @@
 //! ```
 
 use std::fmt;
+use std::ops::Range;
 use std::path::Path;
 use std::sync::Arc;
 
 use mn_nn::arch::InputSpec;
+use mn_nn::metrics::gather_examples;
 use mn_tensor::chunking::shard_ranges;
 use mn_tensor::{ops, Tensor, Workspace};
 
@@ -665,15 +668,15 @@ impl EnginePlan {
 
 /// The mutable half of the engine, private to one worker: per-member
 /// workspaces (lane 0) plus lazily-built replica-lane scratch for
-/// data-parallel plans. Holds **no weights** — every forward pass reads
+/// sharded plans. Holds **no weights** — every forward pass reads
 /// the shared [`EnginePlan`] through `&self`.
 #[derive(Debug)]
 pub struct EngineSession {
     plan: Arc<EnginePlan>,
     policy: ExecPolicy,
-    /// `lanes[lane][member]`: workspace scratch. Lane 0 always exists
-    /// (member-parallel axis); lanes 1.. appear the first time a
-    /// data-parallel plan needs them and are reused afterwards.
+    /// `lanes[lane][member]`: workspace scratch. Lane 0 always exists;
+    /// lanes 1.. appear the first time a plan cuts a batch into that
+    /// many shards and are reused afterwards.
     lanes: Vec<Vec<Workspace>>,
 }
 
@@ -711,7 +714,7 @@ impl EngineSession {
     }
 
     /// Number of materialized workspace lanes (including the primary).
-    /// Starts at 1 and grows only when a data-parallel plan runs.
+    /// Starts at 1 and grows only when a plan shards a batch.
     pub fn replica_lanes(&self) -> usize {
         self.lanes.len()
     }
@@ -728,162 +731,126 @@ impl EngineSession {
     /// ever applies through [`EngineSession::predict_scored`].
     pub fn predict(&mut self, x: &Tensor) -> MemberPredictions {
         let n = x.shape().dim(0);
-        let mut plan = self.plan_for(n);
-        if matches!(plan, Plan::Cascade(_)) {
-            plan = self.plan.resolve(n, ExecPolicy::Auto);
-        }
-        match plan {
-            Plan::MemberParallel => self.predict_member_parallel(x),
-            Plan::DataParallel { shards } => self.predict_data_parallel(x, shards),
-            Plan::TrunkShared { shards } => self.predict_trunk_shared(x, shards),
-            Plan::Cascade(_) => unreachable!("Auto never resolves to a cascade"),
-        }
-    }
-
-    fn predict_member_parallel(&mut self, x: &Tensor) -> MemberPredictions {
-        let bs = self.plan.batch_size();
-        let mut jobs: Vec<(&EnsembleMember, &mut Workspace)> = self
-            .plan
-            .members()
-            .iter()
-            .zip(self.lanes[0].iter_mut())
-            .collect();
-        let probs: Vec<Tensor> = jobs
-            .par_iter_mut()
-            .map(|(member, ws)| member.predict_proba_eval(x, bs, ws))
-            .collect();
+        let policy = match self.policy {
+            ExecPolicy::Cascade(_) => ExecPolicy::Auto,
+            policy => policy,
+        };
+        let (shards, trunk) = match self.plan.resolve(n, policy) {
+            // `policy` is no cascade and Auto never picks one: the arm is
+            // here for exhaustiveness, and the flat full ensemble is what
+            // this API promises of a cascade anyway.
+            Plan::MemberParallel | Plan::Cascade(_) => (1, 0),
+            Plan::DataParallel { shards } => (shards, 0),
+            Plan::TrunkShared { shards } => (shards, self.plan.trunk_len()),
+        };
+        let members = 0..self.plan.num_members();
+        let (probs, _) = self.pass(x, 0, members, shards, trunk, false);
         MemberPredictions::from_probs(probs)
     }
 
-    fn predict_data_parallel(&mut self, x: &Tensor, shards: usize) -> MemberPredictions {
-        let n = x.shape().dim(0);
-        let ranges = shard_ranges(n, shards);
-        let shards = ranges.len(); // shard_ranges may shrink degenerate requests
-        if shards <= 1 {
-            return self.predict_member_parallel(x);
-        }
-        self.ensure_lanes(shards);
-        let plan = &self.plan;
-        let bs = plan.batch_size();
-        let members = plan.members();
-        let k = plan.num_classes();
-        let row = x.len() / n.max(1);
-
-        // Each lane copies its shard rows once (staged in its first
-        // workspace), then runs every shared member over the shard with
-        // that member's own lane workspace.
-        let mut lane_jobs: Vec<(std::ops::Range<usize>, &mut Vec<Workspace>)> =
-            ranges.into_iter().zip(self.lanes.iter_mut()).collect();
-        let shard_probs: Vec<Vec<Tensor>> = lane_jobs
-            .par_iter_mut()
-            .map(|(range, lane)| {
-                let rows = range.len();
-                let mut xs = lane[0].acquire_uninit(x.shape().with_dim(0, rows));
-                xs.data_mut()
-                    .copy_from_slice(&x.data()[range.start * row..range.end * row]);
-                let out: Vec<Tensor> = members
-                    .iter()
-                    .zip(lane.iter_mut())
-                    .map(|(m, ws)| m.predict_proba_eval(&xs, bs, ws))
-                    .collect();
-                lane[0].release(xs);
-                out
-            })
-            .collect();
-
-        // Stitch per-member outputs back in example order.
-        let mut probs: Vec<Tensor> = (0..members.len()).map(|_| Tensor::zeros([n, k])).collect();
-        let mut start = 0;
-        for lane in &shard_probs {
-            let rows = lane[0].shape().dim(0);
-            for (m, shard) in lane.iter().enumerate() {
-                probs[m].data_mut()[start * k..(start + rows) * k].copy_from_slice(shard.data());
-            }
-            start += rows;
-        }
-        MemberPredictions::from_probs(probs)
-    }
-
-    /// Trunk-shared execution: each lane walks its shard in mini-batch
-    /// chunks, evaluates the shared member prefix **once** per chunk
-    /// (from member 0's nodes — bitwise identical to every member's own
-    /// prefix by construction, see [`EnginePlan::trunk_len`]), then fans
-    /// only the divergent tails across members. Output is bitwise
-    /// identical to the flat plans: prefix-then-tail evaluation equals
-    /// whole-network evaluation node for node, and each example's forward
-    /// pass is independent of its batch neighbors.
-    fn predict_trunk_shared(&mut self, x: &Tensor, shards: usize) -> MemberPredictions {
-        let n = x.shape().dim(0);
-        if n == 0 {
-            return self.predict_member_parallel(x);
-        }
+    /// The executor every plan runs (see the module docs): `src` is the
+    /// activation entering node `at` for every row — the request batch at
+    /// 0, or trunk activations a previous pass kept at `trunk` — and the
+    /// result is one `[N, K]` probability tensor per member of `who`.
+    ///
+    /// Rows are cut into at most `shards` contiguous ranges, one per
+    /// lane. A lane walks its range in `batch_size` chunks counted from
+    /// the range's first row, stages each chunk once in its first
+    /// workspace, runs member 0's `nodes[..trunk]` on it when `src` sits
+    /// before the trunk (bitwise every member's own prefix by
+    /// construction, see [`EnginePlan::trunk_len`]), then fans the
+    /// members' remaining nodes and the softmax across their own lane
+    /// workspaces. With `keep_trunk`, each lane also hands back the trunk
+    /// activations of its rows (second result, in lane order) so a later
+    /// pass can start at `trunk` without paying for the prefix again.
+    fn pass(
+        &mut self,
+        src: &Tensor,
+        at: usize,
+        who: Range<usize>,
+        shards: usize,
+        trunk: usize,
+        keep_trunk: bool,
+    ) -> (Vec<Tensor>, Vec<Tensor>) {
+        let n = src.shape().dim(0);
         let ranges = shard_ranges(n, shards);
         self.ensure_lanes(ranges.len());
         let plan = &self.plan;
-        let trunk = plan.trunk_len();
-        let bs = plan.batch_size();
-        let members = plan.members();
-        let k = plan.num_classes();
-        let row = x.len() / n;
+        let (bs, k) = (plan.batch_size(), plan.num_classes());
+        let trunk_net = &plan.members()[0].network;
+        let members = &plan.members()[who.clone()];
+        let row = src.len() / n.max(1);
+        let tail = at.max(trunk);
 
-        let mut lane_jobs: Vec<(std::ops::Range<usize>, &mut Vec<Workspace>)> =
-            ranges.into_iter().zip(self.lanes.iter_mut()).collect();
-        let shard_probs: Vec<Vec<Tensor>> = lane_jobs
+        // One output per member, cut into one disjoint row block per lane
+        // so lanes write their rows in place, in example order.
+        let mut probs: Vec<Tensor> = members.iter().map(|_| Tensor::zeros([n, k])).collect();
+        let mut blocks: Vec<Vec<&mut [f32]>> = ranges.iter().map(|_| Vec::new()).collect();
+        for out in &mut probs {
+            let mut rest = out.data_mut();
+            for (range, lane_blocks) in ranges.iter().zip(&mut blocks) {
+                let (block, after) = rest.split_at_mut(range.len() * k);
+                lane_blocks.push(block);
+                rest = after;
+            }
+        }
+
+        let mut jobs: Vec<_> = ranges
+            .into_iter()
+            .zip(self.lanes.iter_mut())
+            .zip(blocks)
+            .collect();
+        let kept: Vec<Option<Tensor>> = jobs
             .par_iter_mut()
-            .map(|(range, lane)| {
-                let rows = range.len();
-                let mut outs: Vec<Tensor> =
-                    members.iter().map(|_| Tensor::zeros([rows, k])).collect();
+            .map(|((range, lane), outs)| {
+                let mut kept: Option<Tensor> = None;
                 let mut start = range.start;
                 while start < range.end {
                     let end = (start + bs).min(range.end);
-                    let chunk = end - start;
-                    let mut xb = lane[0].acquire_uninit(x.shape().with_dim(0, chunk));
+                    let (chunk, local) = (end - start, start - range.start);
+                    let mut xb = lane[0].acquire_uninit(src.shape().with_dim(0, chunk));
                     xb.data_mut()
-                        .copy_from_slice(&x.data()[start * row..end * row]);
-                    let h = members[0]
-                        .network
-                        .forward_eval_prefix_with(&xb, trunk, &mut lane[0]);
-                    lane[0].release(xb);
-                    let local = start - range.start;
-                    let mut tails: Vec<((&EnsembleMember, &mut Workspace), &mut Tensor)> = members
+                        .copy_from_slice(&src.data()[start * row..end * row]);
+                    let h = if at < trunk {
+                        let h = trunk_net.forward_eval_prefix_with(&xb, trunk, &mut lane[0]);
+                        lane[0].release(xb);
+                        h
+                    } else {
+                        xb
+                    };
+                    if keep_trunk {
+                        let h_row = h.len() / chunk;
+                        let all = kept.get_or_insert_with(|| {
+                            Tensor::zeros(h.shape().with_dim(0, range.len()))
+                        });
+                        all.data_mut()[local * h_row..(local + chunk) * h_row]
+                            .copy_from_slice(h.data());
+                    }
+                    let mut tails: Vec<_> = members
                         .iter()
-                        .zip(lane.iter_mut())
+                        .zip(lane[who.clone()].iter_mut())
                         .zip(outs.iter_mut())
                         .collect();
                     tails.par_iter_mut().for_each(|((member, ws), out)| {
-                        let mut probs = member.network.forward_eval_tail_with(&h, trunk, ws);
-                        ops::softmax_rows(&mut probs);
-                        out.data_mut()[local * k..(local + chunk) * k]
-                            .copy_from_slice(probs.data());
-                        ws.release(probs);
+                        let mut p = member.network.forward_eval_tail_with(&h, tail, ws);
+                        ops::softmax_rows(&mut p);
+                        out[local * k..(local + chunk) * k].copy_from_slice(p.data());
+                        ws.release(p);
                     });
                     lane[0].release(h);
                     start = end;
                 }
-                outs
+                kept
             })
             .collect();
-
-        // Stitch per-member outputs back in example order, exactly as the
-        // data-parallel plan does.
-        let mut probs: Vec<Tensor> = (0..members.len()).map(|_| Tensor::zeros([n, k])).collect();
-        let mut start = 0;
-        for lane in &shard_probs {
-            let rows = lane[0].shape().dim(0);
-            for (m, shard) in lane.iter().enumerate() {
-                probs[m].data_mut()[start * k..(start + rows) * k].copy_from_slice(shard.data());
-            }
-            start += rows;
-        }
-        MemberPredictions::from_probs(probs)
+        (probs, kept.into_iter().flatten().collect())
     }
 
     /// Runs the request batch with per-example uncertainty and escalation
     /// tracking — the serving-facing API.
     ///
-    /// Under a [`Plan::Cascade`] session this is the early-exit path
-    /// ([`EngineSession::predict_cascade`]). Under every other plan the
+    /// Under a [`Plan::Cascade`] session this is the early-exit path (gate
+    /// pass, threshold, escalation pass). Under every other plan the
     /// full ensemble runs as usual and the result is annotated: final
     /// probabilities are the ensemble average, uncertainty is the
     /// [`Confidence::MaxProb`] signal of that average, and every example
@@ -917,19 +884,17 @@ impl EngineSession {
         scored
     }
 
-    /// Uncertainty-gated cascade execution (see [`Plan::Cascade`]).
+    /// Uncertainty-gated cascade execution (see [`Plan::Cascade`]): two
+    /// passes with a filter between them.
     ///
-    /// **Gate pass:** member 0 scores the whole batch. When the plan
-    /// shares a parameterized trunk the gate walks the batch in
-    /// mini-batch chunks, evaluates the shared prefix once per chunk, and
-    /// runs only member 0's tail — keeping each chunk's trunk activations
-    /// for rows that go on to escalate, so the escalation pays nothing
-    /// for the trunk a second time. Without a shared trunk the gate is
-    /// member 0's ordinary batched forward pass.
+    /// **Gate pass:** member 0 scores the whole batch — over the shared
+    /// trunk when the plan has a parameterized one, keeping the trunk
+    /// activations so the escalation pays nothing for the trunk a second
+    /// time; as its whole network otherwise.
     ///
     /// **Escalation:** rows whose gate uncertainty is not strictly below
     /// `cp.threshold` are gathered into a contiguous survivor batch and
-    /// fanned across members 1..K (tails over the saved trunk
+    /// passed through members 1..K (tails over the kept trunk
     /// activations, or whole networks), then averaged with the gate's row
     /// in member order — the exact accumulation order (and therefore the
     /// exact bits) of [`combine::ensemble_average`] over a full
@@ -942,147 +907,46 @@ impl EngineSession {
     /// plans produce for that row — and at `threshold = 0.0` (everything
     /// escalates) the whole output is bitwise identical to
     /// [`EngineSession::predict_average`] under any other plan.
-    pub fn predict_cascade(&mut self, x: &Tensor, cp: CascadePolicy) -> ScoredPredictions {
-        let plan = Arc::clone(&self.plan);
+    fn predict_cascade(&mut self, x: &Tensor, cp: CascadePolicy) -> ScoredPredictions {
         let n = x.shape().dim(0);
-        let k = plan.num_classes();
-        if n == 0 {
-            return ScoredPredictions {
-                probs: Tensor::zeros([0, k]),
-                uncertainty: Vec::new(),
-                escalated: Vec::new(),
-            };
-        }
-        let bs = plan.batch_size();
-        let members = plan.members();
-        let m = members.len();
-        let trunk = plan.trunk_len();
-        let share = plan.shares_trunk();
-        let row = x.len() / n;
-
-        // --- Gate pass: member 0 over the whole batch. ---
-        let mut gate_probs;
-        // Saved trunk activations for escalating rows (trunk path only):
-        // raw row data plus the per-chunk activation shape to rebuild a
-        // survivor tensor from.
-        let mut h_rows: Vec<f32> = Vec::new();
-        let mut h_shape = None;
-        let mut uncertainty = vec![0.0f32; n];
-        let mut escalated = vec![false; n];
-        let mut survivors: Vec<usize> = Vec::new();
-        if share {
-            gate_probs = Tensor::zeros([n, k]);
-            let mut start = 0;
-            while start < n {
-                let end = (start + bs).min(n);
-                let chunk = end - start;
-                let mut xb = self.lanes[0][0].acquire_uninit(x.shape().with_dim(0, chunk));
-                xb.data_mut()
-                    .copy_from_slice(&x.data()[start * row..end * row]);
-                let h =
-                    members[0]
-                        .network
-                        .forward_eval_prefix_with(&xb, trunk, &mut self.lanes[0][0]);
-                self.lanes[0][0].release(xb);
-                let mut probs =
-                    members[0]
-                        .network
-                        .forward_eval_tail_with(&h, trunk, &mut self.lanes[0][0]);
-                ops::softmax_rows(&mut probs);
-                gate_probs.data_mut()[start * k..end * k].copy_from_slice(probs.data());
-                self.lanes[0][0].release(probs);
-                let h_row = h.len() / chunk;
-                for i in 0..chunk {
-                    let g = start + i;
-                    let u = cp
-                        .metric
-                        .uncertainty(&gate_probs.data()[g * k..(g + 1) * k]);
-                    uncertainty[g] = u;
-                    // NaN uncertainty (impossible for finite inputs, but
-                    // cheap to be safe about) escalates rather than exits.
-                    if u.is_nan() || u >= cp.threshold {
-                        escalated[g] = true;
-                        survivors.push(g);
-                        h_rows.extend_from_slice(&h.data()[i * h_row..(i + 1) * h_row]);
-                    }
-                }
-                if h_shape.is_none() {
-                    h_shape = Some(*h.shape());
-                }
-                self.lanes[0][0].release(h);
-                start = end;
-            }
+        let k = self.plan.num_classes();
+        let m = self.plan.num_members();
+        let trunk = if self.plan.shares_trunk() {
+            self.plan.trunk_len()
         } else {
-            gate_probs = members[0].predict_proba_eval(x, bs, &mut self.lanes[0][0]);
-            for g in 0..n {
-                let u = cp
-                    .metric
-                    .uncertainty(&gate_probs.data()[g * k..(g + 1) * k]);
-                uncertainty[g] = u;
-                if u.is_nan() || u >= cp.threshold {
-                    escalated[g] = true;
-                    survivors.push(g);
-                }
-            }
-        }
+            0
+        };
 
-        // --- Escalation: members 1..K over the survivor subset only.
-        // A single-member ensemble needs none: its "full ensemble" is the
-        // gate itself, and `ensemble_average`'s multiply by 1/1 is a
-        // bitwise no-op, so the gate rows already are the answer. ---
-        let s = survivors.len();
-        if s > 0 && m > 1 {
-            let esc_probs: Vec<Tensor> = if share {
-                // mn-lint: allow(no-panic-in-serve, reason = "invariant, not an error path: `share` is set only after the gate pass stored h_shape a few lines up in this same function; None here means engine logic is corrupted and continuing would score garbage")
-                let h_shape = h_shape.expect("trunk gate saved an activation shape");
-                let hs = Tensor::from_vec(h_shape.with_dim(0, s), std::mem::take(&mut h_rows));
-                let h_row = hs.len() / s;
-                let mut jobs: Vec<(&EnsembleMember, &mut Workspace)> = members[1..]
-                    .iter()
-                    .zip(self.lanes[0][1..].iter_mut())
-                    .collect();
-                jobs.par_iter_mut()
-                    .map(|(member, ws)| {
-                        // Tail the survivors in mini-batch chunks, like
-                        // every other plan.
-                        let mut out = Tensor::zeros([s, k]);
-                        let mut start = 0;
-                        while start < s {
-                            let end = (start + bs).min(s);
-                            let chunk = end - start;
-                            let mut hb = ws.acquire_uninit(hs.shape().with_dim(0, chunk));
-                            hb.data_mut()
-                                .copy_from_slice(&hs.data()[start * h_row..end * h_row]);
-                            let mut probs = member.network.forward_eval_tail_with(&hb, trunk, ws);
-                            ops::softmax_rows(&mut probs);
-                            out.data_mut()[start * k..end * k].copy_from_slice(probs.data());
-                            ws.release(probs);
-                            ws.release(hb);
-                            start = end;
-                        }
-                        out
-                    })
-                    .collect()
-            } else {
-                let mut xs = Tensor::zeros(x.shape().with_dim(0, s));
-                for (si, &g) in survivors.iter().enumerate() {
-                    xs.data_mut()[si * row..(si + 1) * row]
-                        .copy_from_slice(&x.data()[g * row..(g + 1) * row]);
-                }
-                let mut jobs: Vec<(&EnsembleMember, &mut Workspace)> = members[1..]
-                    .iter()
-                    .zip(self.lanes[0][1..].iter_mut())
-                    .collect();
-                jobs.par_iter_mut()
-                    .map(|(member, ws)| member.predict_proba_eval(&xs, bs, ws))
-                    .collect()
+        let (mut gate, kept) = self.pass(x, 0, 0..1, 1, trunk, trunk > 0);
+        let mut probs = gate.swap_remove(0);
+        let uncertainty: Vec<f32> = (0..n)
+            .map(|g| cp.metric.uncertainty(&probs.data()[g * k..(g + 1) * k]))
+            .collect();
+        // NaN uncertainty (impossible for finite inputs, but cheap to be
+        // safe about) escalates rather than exits.
+        let escalated: Vec<bool> = uncertainty
+            .iter()
+            .map(|&u| u.is_nan() || u >= cp.threshold)
+            .collect();
+        let survivors: Vec<usize> = (0..n).filter(|&g| escalated[g]).collect();
+
+        // A single-member ensemble needs no escalation: its "full
+        // ensemble" is the gate itself, and `ensemble_average`'s multiply
+        // by 1/1 is a bitwise no-op, so the gate rows already are the
+        // answer.
+        if !survivors.is_empty() && m > 1 {
+            let (src, at) = match kept.first() {
+                Some(h) => (h, trunk),
+                None => (x, 0),
             };
+            let (esc_probs, _) =
+                self.pass(&gather_examples(src, &survivors), at, 1..m, 1, trunk, false);
             // Average escalated rows exactly as `combine::ensemble_average`
             // over a full predict: member 0 first, then 1..K in order,
             // then one multiply by 1/K.
             let inv_k = 1.0 / m as f32;
             for (si, &g) in survivors.iter().enumerate() {
-                let dst = &mut gate_probs.data_mut()[g * k..(g + 1) * k];
+                let dst = &mut probs.data_mut()[g * k..(g + 1) * k];
                 for (c, v) in dst.iter_mut().enumerate() {
                     let mut acc = *v;
                     for t in &esc_probs {
@@ -1094,15 +958,15 @@ impl EngineSession {
         }
 
         ScoredPredictions {
-            probs: gate_probs,
+            probs,
             uncertainty,
             escalated,
         }
     }
 
-    /// Grows the workspace-lane pool to at least `lanes` lanes. Unlike the
-    /// pre-split engine this clones **no weights** — a lane is just one
-    /// empty workspace per member.
+    /// Grows the workspace-lane pool to at least `lanes` lanes. This
+    /// clones **no weights** — a lane is just one empty workspace per
+    /// member.
     fn ensure_lanes(&mut self, lanes: usize) {
         let members = self.plan.num_members();
         while self.lanes.len() < lanes {
@@ -1149,8 +1013,8 @@ impl EngineSession {
 /// never chosen: no threshold could separate them.
 ///
 /// The reported `exit_rate` and `agreement` are recomputed from the
-/// returned threshold, so they describe exactly what
-/// [`EngineSession::predict_cascade`] will do on this batch.
+/// returned threshold, so they describe exactly what a
+/// [`Plan::Cascade`] session will do on this batch.
 pub fn calibrate(
     session: &mut EngineSession,
     x: &Tensor,
@@ -1226,175 +1090,6 @@ pub fn calibrate(
     }
 }
 
-/// Compatibility facade over the plan/session split: one shared
-/// [`EnginePlan`] plus one [`EngineSession`], exposing the single-owner
-/// API earlier PRs shipped. New code that wants several workers over one
-/// ensemble should hold an `Arc<EnginePlan>` and open sessions directly;
-/// the facade's [`InferenceEngine::plan_handle`] bridges the two worlds.
-#[derive(Debug)]
-pub struct InferenceEngine {
-    session: EngineSession,
-}
-
-impl InferenceEngine {
-    /// Builds a plan from `members` and opens one session over it (see
-    /// [`EnginePlan::new`]).
-    ///
-    /// # Errors
-    ///
-    /// [`EngineError::EmptyEnsemble`] for zero members, and
-    /// [`EngineError::MemberMismatch`] when members disagree on input
-    /// geometry or class count.
-    pub fn new(members: Vec<EnsembleMember>, batch_size: usize) -> Result<Self, EngineError> {
-        Ok(InferenceEngine::from_plan(
-            EnginePlan::new(members, batch_size)?.into_shared(),
-        ))
-    }
-
-    /// Opens an engine (facade) over an existing shared plan.
-    pub fn from_plan(plan: Arc<EnginePlan>) -> Self {
-        InferenceEngine {
-            session: plan.session(),
-        }
-    }
-
-    /// Boots an engine from an `MNE1` ensemble artifact file (see
-    /// [`EnginePlan::load`]).
-    ///
-    /// # Errors
-    ///
-    /// Any [`ArtifactError`] from reading or parsing the file.
-    pub fn load(path: impl AsRef<Path>, batch_size: usize) -> Result<Self, ArtifactError> {
-        Ok(InferenceEngine::from_plan(
-            EnginePlan::load(path, batch_size)?.into_shared(),
-        ))
-    }
-
-    /// [`InferenceEngine::load`] over in-memory artifact bytes.
-    ///
-    /// # Errors
-    ///
-    /// Any [`ArtifactError`] from parsing the bytes.
-    pub fn from_artifact_bytes(bytes: &[u8], batch_size: usize) -> Result<Self, ArtifactError> {
-        Ok(InferenceEngine::from_plan(
-            EnginePlan::from_artifact_bytes(bytes, batch_size)?.into_shared(),
-        ))
-    }
-
-    /// Serializes the engine's members as an `MNE1` artifact.
-    pub fn to_artifact_bytes(&self, manifest: &EnsembleManifest) -> Vec<u8> {
-        self.session.plan().to_artifact_bytes(manifest)
-    }
-
-    /// A shareable handle on the engine's plan — open more sessions (or a
-    /// sharded server) over the same weights.
-    pub fn plan_handle(&self) -> Arc<EnginePlan> {
-        Arc::clone(self.session.plan())
-    }
-
-    /// Overrides this engine's parallelism policy (the default is
-    /// [`ExecPolicy::Auto`]).
-    pub fn set_policy(&mut self, policy: ExecPolicy) {
-        self.session.set_policy(policy);
-    }
-
-    /// The active parallelism policy.
-    pub fn policy(&self) -> ExecPolicy {
-        self.session.policy()
-    }
-
-    /// Resolves the execution plan for a batch of `n` examples (see
-    /// [`EnginePlan::resolve`]).
-    pub fn plan(&self, n: usize) -> Plan {
-        self.session.plan_for(n)
-    }
-
-    /// Upper bound on data-parallel shards (see
-    /// [`EnginePlan::max_shards`]).
-    pub fn max_shards(&self) -> usize {
-        self.session.plan().max_shards()
-    }
-
-    /// Number of ensemble members.
-    pub fn num_members(&self) -> usize {
-        self.session.plan().num_members()
-    }
-
-    /// Mini-batch size used per member.
-    pub fn batch_size(&self) -> usize {
-        self.session.plan().batch_size()
-    }
-
-    /// Input geometry every member expects.
-    pub fn input_spec(&self) -> InputSpec {
-        self.session.plan().input_spec()
-    }
-
-    /// Number of output classes.
-    pub fn num_classes(&self) -> usize {
-        self.session.plan().num_classes()
-    }
-
-    /// Number of materialized workspace lanes (see
-    /// [`EngineSession::replica_lanes`]).
-    pub fn replica_lanes(&self) -> usize {
-        self.session.replica_lanes()
-    }
-
-    /// Member names, in engine order — no per-call allocation.
-    pub fn member_names(&self) -> impl Iterator<Item = &str> {
-        self.session.plan().member_names()
-    }
-
-    /// Read access to the members, in engine order — a borrowed slice, no
-    /// per-call allocation.
-    pub fn members(&self) -> &[EnsembleMember] {
-        self.session.plan().members()
-    }
-
-    /// Runs every member over the request batch (see
-    /// [`EngineSession::predict`]).
-    pub fn predict(&mut self, x: &Tensor) -> MemberPredictions {
-        self.session.predict(x)
-    }
-
-    /// Ensemble-averaged probabilities `[N, K]` for the request batch.
-    pub fn predict_average(&mut self, x: &Tensor) -> Tensor {
-        self.session.predict_average(x)
-    }
-
-    /// Scored predictions with per-example uncertainty and escalation
-    /// flags (see [`EngineSession::predict_scored`]).
-    pub fn predict_scored(&mut self, x: &Tensor) -> ScoredPredictions {
-        self.session.predict_scored(x)
-    }
-
-    /// Hard labels under ensemble averaging (the paper's EA rule).
-    pub fn predict_labels(&mut self, x: &Tensor) -> Vec<usize> {
-        self.session.predict_labels(x)
-    }
-
-    /// Hard labels under majority voting with probability tie-breaking.
-    pub fn predict_vote_labels(&mut self, x: &Tensor) -> Vec<usize> {
-        self.session.predict_vote_labels(x)
-    }
-
-    /// Decomposes the engine back into its plan (session scratch dropped).
-    pub fn into_plan(self) -> Arc<EnginePlan> {
-        self.session.into_plan()
-    }
-
-    /// Decomposes the engine back into its members (workspaces and lane
-    /// scratch dropped). If other sessions still share the plan, the
-    /// members are cloned; sole owners pay nothing.
-    pub fn into_members(self) -> Vec<EnsembleMember> {
-        match Arc::try_unwrap(self.session.into_plan()) {
-            Ok(plan) => plan.into_members(),
-            Err(shared) => shared.members().to_vec(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1410,8 +1105,11 @@ mod tests {
             .collect()
     }
 
-    fn engine(n: u64, batch: usize) -> InferenceEngine {
-        InferenceEngine::new(members(n), batch).unwrap()
+    fn engine(n: u64, batch: usize) -> EngineSession {
+        EnginePlan::new(members(n), batch)
+            .unwrap()
+            .into_shared()
+            .session()
     }
 
     /// Members cloned from one seed network with only the classifier head
@@ -1477,21 +1175,24 @@ mod tests {
     #[test]
     fn accessors_expose_members() {
         let engine = engine(2, 16);
-        assert_eq!(engine.num_members(), 2);
-        assert_eq!(engine.batch_size(), 16);
-        assert_eq!(engine.member_names().collect::<Vec<_>>(), vec!["m0", "m1"]);
-        assert_eq!(engine.members().len(), 2);
-        assert_eq!(engine.members()[1].name, "m1");
-        assert_eq!(engine.num_classes(), 3);
-        assert_eq!(engine.input_spec(), InputSpec::new(1, 2, 2));
-        let back = engine.into_members();
+        assert_eq!(engine.plan().num_members(), 2);
+        assert_eq!(engine.plan().batch_size(), 16);
+        assert_eq!(
+            engine.plan().member_names().collect::<Vec<_>>(),
+            vec!["m0", "m1"]
+        );
+        assert_eq!(engine.plan().members().len(), 2);
+        assert_eq!(engine.plan().members()[1].name, "m1");
+        assert_eq!(engine.plan().num_classes(), 3);
+        assert_eq!(engine.plan().input_spec(), InputSpec::new(1, 2, 2));
+        let back = Arc::try_unwrap(engine.into_plan()).unwrap().into_members();
         assert_eq!(back.len(), 2);
     }
 
     #[test]
     fn empty_ensemble_yields_typed_error() {
         assert_eq!(
-            InferenceEngine::new(Vec::new(), 8).unwrap_err(),
+            EnginePlan::new(Vec::new(), 8).unwrap_err(),
             EngineError::EmptyEnsemble
         );
     }
@@ -1505,7 +1206,7 @@ mod tests {
             EnsembleMember::new("b", Network::seeded(&arch_b, 1)),
         ];
         assert!(matches!(
-            InferenceEngine::new(mixed, 8),
+            EnginePlan::new(mixed, 8),
             Err(EngineError::MemberMismatch { .. })
         ));
     }
@@ -1513,7 +1214,7 @@ mod tests {
     #[test]
     fn zero_batch_size_clamps_to_one() {
         let mut engine = engine(1, 0);
-        assert_eq!(engine.batch_size(), 1);
+        assert_eq!(engine.plan().batch_size(), 1);
         let x = Tensor::zeros([2, 1, 2, 2]);
         assert_eq!(engine.predict_labels(&x).len(), 2);
     }
@@ -1558,20 +1259,20 @@ mod tests {
     fn explicit_shards_clamp_to_batch_and_lane_cap() {
         let mut e = engine(2, 2);
         e.set_policy(ExecPolicy::DataParallel { shards: 0 });
-        assert_eq!(e.plan(5), Plan::MemberParallel);
+        assert_eq!(e.plan_for(5), Plan::MemberParallel);
         e.set_policy(ExecPolicy::DataParallel { shards: 8 });
-        assert_eq!(e.plan(3), Plan::DataParallel { shards: 3 });
-        assert_eq!(e.plan(0), Plan::MemberParallel);
+        assert_eq!(e.plan_for(3), Plan::DataParallel { shards: 3 });
+        assert_eq!(e.plan_for(0), Plan::MemberParallel);
         // An absurd request must not be able to demand one lane per
         // example of a huge batch.
         e.set_policy(ExecPolicy::DataParallel { shards: usize::MAX });
-        match e.plan(1_000_000) {
-            Plan::DataParallel { shards } => assert_eq!(shards, e.max_shards()),
+        match e.plan_for(1_000_000) {
+            Plan::DataParallel { shards } => assert_eq!(shards, e.plan().max_shards()),
             plan => panic!("expected a capped data-parallel plan, got {plan:?}"),
         }
         let x = Tensor::zeros([64, 1, 2, 2]);
         let _ = e.predict(&x);
-        assert!(e.replica_lanes() <= e.max_shards());
+        assert!(e.replica_lanes() <= e.plan().max_shards());
     }
 
     #[test]
@@ -1717,17 +1418,17 @@ mod tests {
     fn auto_plan_prefers_member_fanout_unless_sharding_wins() {
         let e = engine(3, 4);
         // Empty batches never shard.
-        assert_eq!(e.plan(0), Plan::MemberParallel);
+        assert_eq!(e.plan_for(0), Plan::MemberParallel);
         // With the test runner's thread count unknown, pin only the
         // invariants: sharding must yield strictly more tasks than member
         // fan-out, and never more shards than threads or mini-batches.
         for n in [1usize, 8, 64, 1024] {
-            match e.plan(n) {
+            match e.plan_for(n) {
                 Plan::MemberParallel => {}
                 Plan::DataParallel { shards } => {
-                    assert!(shards > e.num_members());
+                    assert!(shards > e.plan().num_members());
                     assert!(shards <= rayon::current_num_threads());
-                    assert!(shards <= n.div_ceil(e.batch_size()));
+                    assert!(shards <= n.div_ceil(e.plan().batch_size()));
                 }
                 Plan::TrunkShared { .. } => {
                     panic!("independently seeded members must not auto-share a trunk")
@@ -1954,6 +1655,66 @@ mod tests {
         }
     }
 
+    /// Refills every pooled buffer of every lane workspace with NaN, so
+    /// anything a pass reads from scratch it did not first write shows up
+    /// in its output.
+    fn poison_lanes(session: &mut EngineSession) {
+        for ws in session.lanes.iter_mut().flatten() {
+            let mut bufs = Vec::new();
+            while ws.pooled_buffers() > 0 {
+                bufs.push(ws.acquire_uninit([0]).into_vec());
+            }
+            for buf in bufs {
+                ws.release(Tensor::filled([buf.capacity()], f32::NAN));
+            }
+        }
+    }
+
+    #[test]
+    fn warm_poisoned_scratch_never_leaks_across_plans() {
+        // One session serves a sharded trunk plan, a smaller flat batch,
+        // then a cascade — all through the one staging path — and must
+        // answer each with the bits of a fresh session.
+        let plan = EnginePlan::new(trunked_members(4), 4)
+            .unwrap()
+            .into_shared();
+        let mut rng = StdRng::seed_from_u64(17);
+        let big = Tensor::randn([40, 1, 2, 2], 1.0, &mut rng);
+        let small = Tensor::randn([5, 1, 2, 2], 1.0, &mut rng);
+        let mixed = Tensor::randn([23, 1, 2, 2], 2.0, &mut rng);
+        // The median gate uncertainty splits `mixed` into exits and
+        // survivors.
+        let mut gate = plan.session();
+        gate.set_policy(ExecPolicy::Cascade(CascadePolicy::max_prob(0.0)));
+        let mut unc = gate.predict_scored(&mixed).uncertainty;
+        unc.sort_by(f32::total_cmp);
+        let cascade = ExecPolicy::Cascade(CascadePolicy::max_prob(unc[unc.len() / 2]));
+
+        let mut warm = plan.session();
+        for (policy, x) in [
+            (ExecPolicy::TrunkShared { shards: 3 }, &big),
+            (ExecPolicy::MemberParallel, &small),
+            (cascade, &mixed),
+        ] {
+            let mut fresh = plan.session();
+            fresh.set_policy(policy);
+            let want = fresh.predict_scored(x);
+            poison_lanes(&mut warm);
+            warm.set_policy(policy);
+            let got = warm.predict_scored(x);
+            assert_eq!(bits(&want.probs), bits(&got.probs), "{policy:?}");
+            assert_eq!(want.escalated, got.escalated, "{policy:?}");
+            if policy == cascade {
+                let escalated = got.num_escalated();
+                assert!(
+                    0 < escalated && escalated < 23,
+                    "{escalated} of 23 escalated"
+                );
+            }
+        }
+        assert_eq!(warm.replica_lanes(), 3, "lanes grow lazily and persist");
+    }
+
     #[test]
     fn calibrate_finds_a_separating_threshold() {
         let plan = EnginePlan::new(trunked_members(4), 8)
@@ -1988,19 +1749,5 @@ mod tests {
         );
         assert_eq!(cal.policy.threshold, 0.0);
         assert_eq!(cal.agreement, 1.0);
-    }
-
-    #[test]
-    fn facade_matches_direct_session_bitwise() {
-        // Old API (facade) vs new API (plan + session): same bits.
-        let x = Tensor::randn([8, 1, 2, 2], 1.0, &mut StdRng::seed_from_u64(10));
-        let mut old = engine(3, 4);
-        let plan = EnginePlan::new(members(3), 4).unwrap().into_shared();
-        let mut new = plan.session();
-        let a = old.predict(&x);
-        let b = new.predict(&x);
-        for (m, (p, q)) in a.probs().iter().zip(b.probs()).enumerate() {
-            assert_eq!(p.data(), q.data(), "member {m} diverged old-vs-new API");
-        }
     }
 }

@@ -21,16 +21,16 @@
 //!   [`engine::EnginePlan`] (members/weights, planning logic, artifact
 //!   load/save) and cheap per-worker [`engine::EngineSession`]s
 //!   (workspaces + replica-lane scratch only), so N workers execute one
-//!   copy of the ensemble. Each batch resolves to a plan — member-parallel
-//!   fan-out, data-parallel batch sharding, or trunk-shared prefix reuse —
-//!   chosen by [`engine::ExecPolicy::Auto`]; results stream into the same
+//!   copy of the ensemble. Every batch runs one executor pass; the plan
+//!   it resolves to — member-parallel fan-out, data-parallel batch
+//!   sharding, or trunk-shared prefix reuse, chosen by
+//!   [`engine::ExecPolicy::Auto`] — only sets that pass's shard count
+//!   and shared-trunk length, and results stream into the same
 //!   [`MemberPredictions`]/combine machinery. Output is bitwise identical
 //!   across plans, sessions, and thread counts. An opt-in
 //!   uncertainty-gated cascade ([`engine::ExecPolicy::Cascade`], threshold
 //!   from [`engine::calibrate`]) lets confidently-gated examples skip the
 //!   full ensemble entirely ([`engine::EngineSession::predict_scored`]).
-//!   [`engine::InferenceEngine`] remains as a one-plan-one-session
-//!   compatibility facade.
 //! * [`artifact`] — the `MNE1` ensemble artifact format (manifest +
 //!   per-member architecture JSON and `MNW1` weights), so serving
 //!   cold-starts from disk via [`engine::EnginePlan::load`] (zero-init
@@ -71,7 +71,7 @@ pub mod super_learner;
 pub use artifact::{ArtifactError, EnsembleManifest};
 pub use engine::{
     calibrate, CascadeCalibration, CascadePolicy, Confidence, EngineError, EnginePlan,
-    EngineSession, ExecPolicy, InferenceEngine, Plan, ScoredPredictions,
+    EngineSession, ExecPolicy, Plan, ScoredPredictions,
 };
 pub use evaluate::{evaluate_members, evaluate_predictions, EnsembleEvaluation};
 pub use faults::FaultAction;

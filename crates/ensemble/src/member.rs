@@ -1,10 +1,8 @@
 //! Ensemble members and batched prediction collection.
 
-use mn_nn::metrics::{
-    predict_proba_batched, predict_proba_batched_eval, predict_proba_batched_with,
-};
+use mn_nn::metrics::predict_proba_batched;
 use mn_nn::Network;
-use mn_tensor::{Tensor, Workspace};
+use mn_tensor::Tensor;
 
 /// A named member of an ensemble.
 #[derive(Clone, Debug)]
@@ -27,27 +25,6 @@ impl EnsembleMember {
     /// Class-probability predictions `[N, K]` over a batch of examples.
     pub fn predict_proba(&mut self, x: &Tensor, batch_size: usize) -> Tensor {
         predict_proba_batched(&mut self.network, x, batch_size)
-    }
-
-    /// [`EnsembleMember::predict_proba`] staging all scratch in a
-    /// [`Workspace`] — the per-worker hot path of
-    /// [`crate::engine::InferenceEngine`].
-    pub fn predict_proba_with(
-        &mut self,
-        x: &Tensor,
-        batch_size: usize,
-        ws: &mut Workspace,
-    ) -> Tensor {
-        predict_proba_batched_with(&mut self.network, x, batch_size, ws)
-    }
-
-    /// [`EnsembleMember::predict_proba_with`] through shared access only:
-    /// eval-mode prediction never writes back into the member, so many
-    /// [`crate::engine::EngineSession`] workers can execute one shared
-    /// member concurrently, each with its own workspace. Bitwise identical
-    /// to the `&mut` variants (same underlying code).
-    pub fn predict_proba_eval(&self, x: &Tensor, batch_size: usize, ws: &mut Workspace) -> Tensor {
-        predict_proba_batched_eval(&self.network, x, batch_size, ws)
     }
 }
 

@@ -124,7 +124,7 @@ use std::time::{Duration, Instant};
 use mn_nn::arch::InputSpec;
 use mn_tensor::{ops, Tensor, Workspace};
 
-use crate::engine::{CascadePolicy, EnginePlan, EngineSession, ExecPolicy, InferenceEngine};
+use crate::engine::{CascadePolicy, EnginePlan, EngineSession, ExecPolicy};
 use crate::faults;
 
 /// The coalescing deadline for a micro-batch whose first request was
@@ -871,7 +871,7 @@ impl ServerBuilder {
                 .spawn(move || {
                     supervisor_loop(shared, events_rx, events_tx, handles, budget, backoff)
                 })
-                // mn-lint: allow(no-panic-in-serve, reason = "spawn fails only on OS thread exhaustion at server construction — before any request is accepted there is no degraded mode to fall back to, and the panic propagates to the caller of Server::start")
+                // mn-lint: allow(no-panic-in-serve, reason = "spawn fails only on OS thread exhaustion at server construction — before any request is accepted there is no degraded mode to fall back to, and the panic propagates to the caller of ServerBuilder::start")
                 .expect("supervisor thread spawns")
         };
         Server {
@@ -899,18 +899,6 @@ impl Server {
     /// Entry point of the builder API (see [`ServerBuilder`]).
     pub fn builder(plan: Arc<EnginePlan>) -> ServerBuilder {
         ServerBuilder::new(plan)
-    }
-
-    /// Compatibility constructor over the pre-split API: consumes an
-    /// [`InferenceEngine`], inherits its policy, and serves its plan with
-    /// one shard. Equivalent to
-    /// `Server::builder(engine.into_plan()).batching(cfg).start()`.
-    pub fn start(engine: InferenceEngine, cfg: BatchingConfig) -> Server {
-        let policy = engine.policy();
-        Server::builder(engine.into_plan())
-            .policy(policy)
-            .batching(cfg)
-            .start()
     }
 
     /// A cloneable submission handle for client threads.
@@ -1218,14 +1206,10 @@ mod tests {
         EnginePlan::new(members, 8).unwrap().into_shared()
     }
 
-    fn engine() -> InferenceEngine {
-        InferenceEngine::from_plan(plan())
-    }
-
     #[test]
     fn serves_single_requests_with_latency_and_stats() {
         let _scope = faults::scope();
-        let server = Server::start(engine(), BatchingConfig::default());
+        let server = Server::builder(plan()).start();
         let mut rng = StdRng::seed_from_u64(1);
         let mut pending = Vec::new();
         for _ in 0..5 {
@@ -1258,7 +1242,7 @@ mod tests {
     #[test]
     fn rejects_wrong_geometry_eagerly() {
         let _scope = faults::scope();
-        let server = Server::start(engine(), BatchingConfig::default());
+        let server = Server::builder(plan()).start();
         let bad = Tensor::zeros([2, 2, 2]);
         assert!(matches!(
             server.submit(&bad),
@@ -1275,7 +1259,7 @@ mod tests {
     #[test]
     fn accepts_three_d_and_unit_batch_examples() {
         let _scope = faults::scope();
-        let server = Server::start(engine(), BatchingConfig::default());
+        let server = Server::builder(plan()).start();
         let a = server.submit(&Tensor::zeros([1, 2, 2])).unwrap();
         let b = server.submit(&Tensor::zeros([1, 1, 2, 2])).unwrap();
         let (pa, pb) = (a.wait().unwrap(), b.wait().unwrap());
@@ -1286,7 +1270,7 @@ mod tests {
     #[test]
     fn shutdown_closes_outstanding_clients() {
         let _scope = faults::scope();
-        let server = Server::start(engine(), BatchingConfig::default());
+        let server = Server::builder(plan()).start();
         let client = server.client();
         server.shutdown();
         assert!(matches!(
@@ -1301,13 +1285,12 @@ mod tests {
         // A generous wait window plus a burst submitted before the first
         // answer can complete must produce fewer engine calls than
         // requests.
-        let server = Server::start(
-            engine(),
-            BatchingConfig {
+        let server = Server::builder(plan())
+            .batching(BatchingConfig {
                 max_batch: 32,
                 max_wait: Duration::from_millis(50),
-            },
-        );
+            })
+            .start();
         let mut pending = Vec::new();
         for _ in 0..16 {
             pending.push(server.submit(&Tensor::zeros([1, 2, 2])).unwrap());
@@ -1728,7 +1711,7 @@ mod tests {
     #[test]
     fn submit_rejects_non_finite_examples() {
         let _scope = faults::scope();
-        let server = Server::start(engine(), BatchingConfig::default());
+        let server = Server::builder(plan()).start();
         for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
             let x = Tensor::from_vec([1, 2, 2], vec![0.0, bad, 0.0, 0.0]);
             match server.submit(&x) {
@@ -1786,7 +1769,7 @@ mod tests {
 
         // Non-cascade servers still populate the surface: everything
         // escalates and uncertainty reflects the ensemble average.
-        let server = Server::start(engine(), BatchingConfig::default());
+        let server = Server::builder(plan()).start();
         let got = server
             .submit(&Tensor::zeros([1, 2, 2]))
             .unwrap()

@@ -109,27 +109,17 @@ pub fn evaluate(net: &mut Network, x: &Tensor, labels: &[usize], batch_size: usi
 
 /// Collects class-probability predictions over a set in mini-batches.
 pub fn predict_proba_batched(net: &mut Network, x: &Tensor, batch_size: usize) -> Tensor {
-    predict_proba_batched_with(net, x, batch_size, &mut Workspace::new())
+    predict_proba_batched_eval(net, x, batch_size, &mut Workspace::new())
 }
 
-/// [`predict_proba_batched`] staging the mini-batch and every activation
-/// in a [`Workspace`]: after the first batch, steady-state prediction
-/// stops allocating activations, mini-batches, and im2col scratch. This
-/// is the per-member hot path of the ensemble inference engine.
-pub fn predict_proba_batched_with(
-    net: &mut Network,
-    x: &Tensor,
-    batch_size: usize,
-    ws: &mut Workspace,
-) -> Tensor {
-    predict_proba_batched_eval(net, x, batch_size, ws)
-}
-
-/// [`predict_proba_batched_with`] through shared access only: eval-mode
-/// forward passes never write back into the network, so many serving
-/// sessions — each with its own workspace — can batch-predict over one
-/// shared set of weights concurrently. The `&mut` variants above delegate
-/// here, so the two paths are the same code and bitwise identical.
+/// [`predict_proba_batched`] through shared access only, staging the
+/// mini-batch and every activation in a [`Workspace`]: after the first
+/// batch, steady-state prediction stops allocating activations,
+/// mini-batches, and im2col scratch, and because eval-mode forward passes
+/// never write back into the network, many callers — each with its own
+/// workspace — can batch-predict over one shared set of weights
+/// concurrently. The `&mut` variant above delegates here, so the two
+/// paths are the same code and bitwise identical.
 pub fn predict_proba_batched_eval(
     net: &Network,
     x: &Tensor,

@@ -10,7 +10,8 @@
 //! 1. **naive vs engine** — members one-by-one on a single thread with
 //!    the pre-optimization direct convolution kernels (the state of the
 //!    repo before the performance layer) against the
-//!    [`mn_ensemble::InferenceEngine`] (parallel fan-out, persistent
+//!    an [`mn_ensemble::EngineSession`] over a shared
+//!    [`mn_ensemble::EnginePlan`] (parallel fan-out, persistent
 //!    workspaces, blocked GEMM);
 //! 2. **parallelism axes** — the same engine under member-parallel,
 //!    data-parallel, and auto plans, verified bitwise identical;
@@ -29,7 +30,7 @@ use std::time::Instant;
 
 use mn_bench::kernels::{bench_ensemble_members, force_conv_formulation};
 use mn_ensemble::serve::{BatchingConfig, Server};
-use mn_ensemble::{EnginePlan, EnsembleManifest, ExecPolicy, InferenceEngine, MemberPredictions};
+use mn_ensemble::{EnginePlan, EnsembleManifest, ExecPolicy, MemberPredictions};
 use mn_nn::layers::ConvFormulation;
 use mn_tensor::Tensor;
 use rand::rngs::StdRng;
@@ -70,8 +71,10 @@ fn main() {
     let naive_secs = start.elapsed().as_secs_f64();
 
     // Engine path: parallel fan-out + workspace reuse + blocked kernels.
-    let mut engine =
-        InferenceEngine::new(bench_ensemble_members(), 32).expect("bench ensemble builds");
+    let mut engine = EnginePlan::new(bench_ensemble_members(), 32)
+        .expect("bench ensemble builds")
+        .into_shared()
+        .session();
     let start = Instant::now();
     let mut engine_last = None;
     for x in &requests {
@@ -129,14 +132,16 @@ fn main() {
         }
         println!(
             "  {label:>15} -> plan {:?}: {:8.0} examples/s",
-            engine.plan(BATCH),
+            engine.plan_for(BATCH),
             BATCH as f64 / secs
         );
     }
 
     // Artifact cold start: save, boot a fresh shared plan (zero-init
     // restore — no RNG sampling), verify bitwise.
-    let bytes = engine.to_artifact_bytes(&EnsembleManifest::default());
+    let bytes = engine
+        .plan()
+        .to_artifact_bytes(&EnsembleManifest::default());
     let cold_plan = EnginePlan::from_artifact_bytes(&bytes, 32)
         .expect("artifact round trip loads")
         .into_shared();

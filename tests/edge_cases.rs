@@ -4,7 +4,7 @@
 
 use mn_data::presets::{cifar10_sim, Scale};
 use mn_data::synthetic::{generate, SyntheticSpec};
-use mn_ensemble::engine::InferenceEngine;
+use mn_ensemble::engine::EnginePlan;
 use mn_ensemble::{EnsembleMember, MemberPredictions};
 use mn_morph::{morph_to, MorphError};
 use mn_nn::arch::{Architecture, ConvBlockSpec, ConvLayerSpec, InputSpec, ResBlockSpec};
@@ -253,7 +253,10 @@ fn member_predictions_from_probs_rejects_ragged_shapes() {
 fn empty_batch_through_engine() {
     // A serving engine sees empty request batches (e.g. a drained queue);
     // they must flow through cleanly rather than panic.
-    let mut engine = InferenceEngine::new(small_conv_members(3), 8).unwrap();
+    let mut engine = EnginePlan::new(small_conv_members(3), 8)
+        .unwrap()
+        .into_shared()
+        .session();
     let empty = Tensor::zeros([0, 3, 8, 8]);
     let preds = engine.predict(&empty);
     assert_eq!(preds.num_members(), 3);
@@ -270,7 +273,10 @@ fn single_example_through_engine_matches_batched() {
     // One-example requests (interactive traffic) must agree exactly with
     // the same example served inside a larger batch.
     let x = Tensor::randn([5, 3, 8, 8], 1.0, &mut rand::thread_rng());
-    let mut engine = InferenceEngine::new(small_conv_members(2), 8).unwrap();
+    let mut engine = EnginePlan::new(small_conv_members(2), 8)
+        .unwrap()
+        .into_shared()
+        .session();
     let batched = engine.predict(&x);
     let first = mn_nn::metrics::gather_examples(&x, &[0]);
     let single = engine.predict(&first);

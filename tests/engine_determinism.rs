@@ -13,7 +13,7 @@
 //! Note: the vendored rayon's `ThreadPool::install` sets a process-global
 //! thread-count override, so these tests serialize on a local lock.
 
-use mn_ensemble::engine::{EnginePlan, ExecPolicy, InferenceEngine};
+use mn_ensemble::engine::{EnginePlan, EngineSession, ExecPolicy};
 use mn_ensemble::EnsembleMember;
 use mn_nn::arch::{Architecture, ConvBlockSpec, InputSpec, ResBlockSpec};
 use mn_nn::Network;
@@ -55,6 +55,14 @@ fn build_members(master_seed: u64) -> Vec<EnsembleMember> {
         .collect()
 }
 
+/// One session over a fresh plan of `members`, mini-batches of 4.
+fn session(members: Vec<EnsembleMember>) -> EngineSession {
+    EnginePlan::new(members, 4)
+        .expect("members build")
+        .into_shared()
+        .session()
+}
+
 fn predict_with_threads_and_policy(
     threads: usize,
     master_seed: u64,
@@ -66,8 +74,7 @@ fn predict_with_threads_and_policy(
         .build()
         .expect("pool builds");
     pool.install(|| {
-        let mut engine =
-            InferenceEngine::new(build_members(master_seed), 4).expect("members build");
+        let mut engine = session(build_members(master_seed));
         engine.set_policy(policy);
         // Two rounds so the second runs against warm (reused) workspaces.
         let _ = engine.predict(x);
@@ -223,7 +230,7 @@ fn concurrent_sessions_over_one_plan_are_bitwise_identical() {
     // of the plan/session split (weights shared, scratch private).
     let _guard = THREAD_OVERRIDE_LOCK.lock().unwrap();
     let x = Tensor::randn([14, 3, 8, 8], 1.0, &mut StdRng::seed_from_u64(46));
-    let mut reference_engine = InferenceEngine::new(build_members(13), 4).expect("members build");
+    let mut reference_engine = session(build_members(13));
     let reference: Vec<Vec<u32>> = reference_engine
         .predict(&x)
         .probs()
@@ -278,7 +285,7 @@ fn engine_agrees_with_plain_member_prediction() {
     // per-member probabilities must equal each member predicting alone.
     let _guard = THREAD_OVERRIDE_LOCK.lock().unwrap();
     let x = Tensor::randn([6, 3, 8, 8], 1.0, &mut StdRng::seed_from_u64(44));
-    let mut engine = InferenceEngine::new(build_members(3), 4).expect("members build");
+    let mut engine = session(build_members(3));
     let fanned = engine.predict(&x);
     let mut solo_members = build_members(3);
     for (m, solo) in solo_members.iter_mut().enumerate() {

@@ -6,7 +6,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use mn_data::presets::{cifar10_sim, Scale};
-use mn_ensemble::engine::{EngineError, EnginePlan, ExecPolicy, InferenceEngine};
+use mn_ensemble::engine::{EngineError, EnginePlan, EngineSession, ExecPolicy};
 use mn_ensemble::serve::{BatchingConfig, ServeError, Server};
 use mn_ensemble::{artifact, EnsembleManifest, EnsembleMember};
 use mn_nn::arch::{Architecture, ConvBlockSpec, InputSpec, ResBlockSpec};
@@ -42,14 +42,25 @@ fn mixed_members(master_seed: u64) -> Vec<EnsembleMember> {
         .collect()
 }
 
+/// One session over a fresh plan of `members`.
+fn session(members: Vec<EnsembleMember>, batch_size: usize) -> EngineSession {
+    EnginePlan::new(members, batch_size)
+        .unwrap()
+        .into_shared()
+        .session()
+}
+
 #[test]
 fn save_load_serve_round_trip_is_bitwise_exact() {
-    let mut warm = InferenceEngine::new(mixed_members(7), 4).unwrap();
-    let bytes = warm.to_artifact_bytes(&EnsembleManifest::default());
-    let mut cold = InferenceEngine::from_artifact_bytes(&bytes, 4).unwrap();
-    assert_eq!(cold.num_members(), 3);
+    let mut warm = session(mixed_members(7), 4);
+    let bytes = warm.plan().to_artifact_bytes(&EnsembleManifest::default());
+    let mut cold = EnginePlan::from_artifact_bytes(&bytes, 4)
+        .unwrap()
+        .into_shared()
+        .session();
+    assert_eq!(cold.plan().num_members(), 3);
     assert_eq!(
-        cold.member_names().collect::<Vec<_>>(),
+        cold.plan().member_names().collect::<Vec<_>>(),
         vec!["conv", "res", "mlp"]
     );
 
@@ -92,8 +103,8 @@ fn trained_ensemble_saves_and_cold_starts() {
     assert_eq!(manifest.strategy, "MotherNets");
 
     // Cold-started engine vs an engine over the in-memory members.
-    let mut cold = InferenceEngine::load(&path, 8).unwrap();
-    let mut warm = InferenceEngine::new(trained.members.clone(), 8).unwrap();
+    let mut cold = EnginePlan::load(&path, 8).unwrap().into_shared().session();
+    let mut warm = session(trained.members.clone(), 8);
     let x = Tensor::randn([6, 3, 8, 8], 1.0, &mut StdRng::seed_from_u64(2));
     let a = warm.predict(&x);
     let b = cold.predict(&x);
@@ -112,17 +123,16 @@ fn server_answers_match_direct_engine_bitwise() {
     // Requests served one at a time through the micro-batcher must equal
     // the same examples predicted as one direct engine batch.
     let x = Tensor::randn([12, 3, 8, 8], 1.0, &mut StdRng::seed_from_u64(3));
-    let mut direct = InferenceEngine::new(mixed_members(11), 4).unwrap();
+    let mut direct = session(mixed_members(11), 4);
     let expected = direct.predict_average(&x);
     let expected_labels = direct.predict_labels(&x);
 
-    let server = Server::start(
-        InferenceEngine::new(mixed_members(11), 4).unwrap(),
-        BatchingConfig {
+    let server = Server::builder(EnginePlan::new(mixed_members(11), 4).unwrap().into_shared())
+        .batching(BatchingConfig {
             max_batch: 5,
             max_wait: Duration::from_millis(1),
-        },
-    );
+        })
+        .start();
     let n = x.shape().dim(0);
     let row = x.len() / n;
     let k = expected.shape().dim(1);
@@ -147,11 +157,9 @@ fn server_answers_match_direct_engine_bitwise() {
 
 #[test]
 fn concurrent_clients_all_get_correct_answers() {
-    let mut direct = InferenceEngine::new(mixed_members(13), 8).unwrap();
-    let server = Server::start(
-        InferenceEngine::new(mixed_members(13), 8).unwrap(),
-        BatchingConfig::default(),
-    );
+    let mut direct = session(mixed_members(13), 8);
+    let server =
+        Server::builder(EnginePlan::new(mixed_members(13), 8).unwrap().into_shared()).start();
     let answers: Vec<(Vec<f32>, Vec<f32>)> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..4u64)
             .map(|c| {
@@ -190,7 +198,7 @@ fn concurrent_clients_all_get_correct_answers() {
 #[test]
 fn engine_rejects_bad_ensembles_with_typed_errors() {
     assert_eq!(
-        InferenceEngine::new(Vec::new(), 8).unwrap_err(),
+        EnginePlan::new(Vec::new(), 8).unwrap_err(),
         EngineError::EmptyEnsemble
     );
     let input = InputSpec::new(3, 8, 8);
@@ -205,17 +213,15 @@ fn engine_rejects_bad_ensembles_with_typed_errors() {
         ),
     ];
     assert!(matches!(
-        InferenceEngine::new(mismatched, 8),
+        EnginePlan::new(mismatched, 8),
         Err(EngineError::MemberMismatch { .. })
     ));
 }
 
 #[test]
 fn server_rejects_malformed_requests_and_survives() {
-    let server = Server::start(
-        InferenceEngine::new(mixed_members(17), 4).unwrap(),
-        BatchingConfig::default(),
-    );
+    let server =
+        Server::builder(EnginePlan::new(mixed_members(17), 4).unwrap().into_shared()).start();
     assert!(matches!(
         server.submit(&Tensor::zeros([3, 4, 4])),
         Err(ServeError::BadExample { .. })
@@ -231,20 +237,18 @@ fn server_rejects_malformed_requests_and_survives() {
 fn data_parallel_engine_behind_server_stays_exact() {
     // Force the sharding axis under the server and compare to the
     // member-parallel direct path.
-    let mut direct = InferenceEngine::new(mixed_members(19), 2).unwrap();
+    let mut direct = session(mixed_members(19), 2);
     direct.set_policy(ExecPolicy::MemberParallel);
     let x = Tensor::randn([6, 3, 8, 8], 1.0, &mut StdRng::seed_from_u64(5));
     let expected = direct.predict_average(&x);
 
-    let mut sharded = InferenceEngine::new(mixed_members(19), 2).unwrap();
-    sharded.set_policy(ExecPolicy::DataParallel { shards: 3 });
-    let server = Server::start(
-        sharded,
-        BatchingConfig {
+    let server = Server::builder(EnginePlan::new(mixed_members(19), 2).unwrap().into_shared())
+        .policy(ExecPolicy::DataParallel { shards: 3 })
+        .batching(BatchingConfig {
             max_batch: 6,
             max_wait: Duration::from_millis(20),
-        },
-    );
+        })
+        .start();
     let n = x.shape().dim(0);
     let row = x.len() / n;
     let k = expected.shape().dim(1);
@@ -272,7 +276,7 @@ fn multi_shard_server_over_shared_plan_is_bitwise_exact() {
     // to the single-engine path, while sharing member weights (no
     // per-shard clones — pointer identity on the plan).
     let x = Tensor::randn([16, 3, 8, 8], 1.0, &mut StdRng::seed_from_u64(23));
-    let mut direct = InferenceEngine::new(mixed_members(23), 4).unwrap();
+    let mut direct = session(mixed_members(23), 4);
     let expected = direct.predict_average(&x);
     let expected_labels = direct.predict_labels(&x);
     let k = expected.shape().dim(1);
@@ -447,7 +451,10 @@ fn trained_ensemble_hands_off_to_plan_without_disk() {
     let expected = direct.predict_average(&x);
 
     let bytes = trained.to_artifact_bytes();
-    let mut from_artifact = InferenceEngine::from_artifact_bytes(&bytes, 8).unwrap();
+    let mut from_artifact = EnginePlan::from_artifact_bytes(&bytes, 8)
+        .unwrap()
+        .into_shared()
+        .session();
     assert_eq!(
         from_artifact.predict_average(&x).data(),
         expected.data(),

@@ -5,8 +5,8 @@
 //! (including zero shared prefix and fully-shared topologies), member
 //! counts, shard counts, and batch shapes.
 
-use mn_ensemble::engine::{EnginePlan, ExecPolicy, Plan};
-use mn_ensemble::EnsembleMember;
+use mn_ensemble::engine::{CascadePolicy, EnginePlan, ExecPolicy, Plan};
+use mn_ensemble::{combine, EnsembleMember, MemberPredictions};
 use mn_nn::arch::{Architecture, ConvBlockSpec, InputSpec, ResBlockSpec};
 use mn_nn::Network;
 use mn_tensor::Tensor;
@@ -110,6 +110,57 @@ proptest! {
         let auto_got = auto.predict(&x);
         for (a, b) in reference.probs().iter().zip(auto_got.probs()) {
             prop_assert_eq!(bits(a), bits(b));
+        }
+    }
+
+    /// The executor against a plan-free reference: every policy, forced
+    /// shard count, batch shape and trunk shape — including a single
+    /// member and a stateless-only trunk under forced sharding — must
+    /// reproduce `MemberPredictions::collect` on cloned members bit for
+    /// bit, through both the per-member and the scored API.
+    #[test]
+    fn every_plan_matches_the_plan_free_reference(
+        cut_kind in 0u8..3,
+        num_members in 1usize..5,
+        shards in 1usize..6,
+        n in 0usize..41,
+        batch_size in 1usize..10,
+    ) {
+        // 0: conv first, diverging at node 0 — no shared node; 1: MLP
+        // diverging at node 0 — only the stateless Flatten is shared;
+        // 2: everything but the head shared.
+        let base = Network::seeded(&arch(if cut_kind == 1 { 0 } else { 1 }), 7);
+        let cut = if cut_kind == 2 { base.nodes().len() - 1 } else { 0 };
+        let members: Vec<EnsembleMember> = (0..num_members)
+            .map(|i| {
+                let net = diverge_from(&base, cut, 100 + i as u64);
+                EnsembleMember::new(format!("m{i}"), net)
+            })
+            .collect();
+        let x = Tensor::randn([n, 3, 8, 8], 1.0, &mut StdRng::seed_from_u64(9));
+        let reference = MemberPredictions::collect(&mut members.clone(), &x, batch_size);
+        let reference_avg = combine::ensemble_average(&reference);
+
+        let plan = EnginePlan::new(members, batch_size).unwrap().into_shared();
+        if num_members > 1 {
+            prop_assert_eq!(plan.trunk_len(), [0, 1, cut][cut_kind as usize]);
+            prop_assert_eq!(plan.shares_trunk(), cut_kind == 2);
+        }
+        for policy in [
+            ExecPolicy::Auto,
+            ExecPolicy::MemberParallel,
+            ExecPolicy::DataParallel { shards },
+            ExecPolicy::TrunkShared { shards },
+            ExecPolicy::Cascade(CascadePolicy::max_prob(0.0)),
+        ] {
+            let mut session = plan.session();
+            session.set_policy(policy);
+            let got = session.predict(&x);
+            for (m, (a, b)) in reference.probs().iter().zip(got.probs()).enumerate() {
+                prop_assert_eq!(bits(a), bits(b), "member {} under {:?}", m, policy);
+            }
+            let scored = session.predict_scored(&x);
+            prop_assert_eq!(bits(&reference_avg), bits(&scored.probs), "scored under {:?}", policy);
         }
     }
 }
