@@ -1,12 +1,14 @@
 //! 2-D convolutional layer (stride 1, same padding).
 //!
-//! The forward pass picks between the two kernel formulations in
-//! `mn-tensor` per layer shape: the GEMM micro-kernel (a fused
-//! implicit-GEMM pass forward, im2col + blocked GEMM backward) when the
-//! reduction depth `C·K·K` is deep enough for the register-tiled kernel
-//! to win, direct scalar×row accumulation otherwise (1×1 kernels on few
-//! channels). Both are pinned to the same outputs by the
-//! `kernel_equivalence` property suite.
+//! Forward and backward pick between the two kernel formulations in
+//! `mn-tensor` per layer shape: the GEMM micro-kernel (fused
+//! implicit-GEMM passes, `mn_tensor::im2col`) when the reduction depth
+//! `C·K·K` is deep enough for the register-tiled kernel to win, direct
+//! scalar×row accumulation otherwise (1×1 kernels on few channels). The
+//! fused passes keep the bits of the explicit im2col + GEMM (+ col2im)
+//! compositions — every sum runs in the same order, see that module's
+//! docs — and `kernel_equivalence` / `gradient_equivalence` pin the two
+//! formulations to each other.
 
 use mn_tensor::{conv, im2col, init, Tensor, Workspace};
 use rand::Rng;
@@ -197,40 +199,62 @@ impl ConvLayer {
     }
 
     /// [`ConvLayer::backward`] staging every intermediate in a
-    /// [`Workspace`]. The same [`ConvFormulation`] switch as the forward
-    /// pass applies: deep reductions run the GEMM-backed backward kernels
-    /// (col2im input gradient, im2col-transposed weight gradient), shallow
-    /// ones the direct loops — both pinned to each other by the
-    /// `gradient_equivalence` suite.
+    /// [`Workspace`]: [`ConvLayer::backward_params_ws`], then
+    /// [`ConvLayer::backward_input_ws`]. The same [`ConvFormulation`]
+    /// switch as the forward pass applies: deep reductions run the fused
+    /// implicit-GEMM backward kernels, shallow ones the direct loops — both
+    /// pinned to each other by the `gradient_equivalence` suite.
     ///
     /// # Panics
     ///
     /// Panics if called before a training-mode forward pass.
     pub fn backward_ws(&mut self, grad_out: &Tensor, ws: &mut Workspace) -> Tensor {
+        self.backward_params_ws(grad_out, ws);
+        self.backward_input_ws(grad_out, ws)
+    }
+
+    /// The parameter half of [`ConvLayer::backward_ws`]: accumulates the
+    /// weight and bias gradients, and computes no input gradient.
+    ///
+    /// # Panics
+    ///
+    /// Panics if called before a training-mode forward pass.
+    pub fn backward_params_ws(&mut self, grad_out: &Tensor, ws: &mut Workspace) {
         let x = self
             .cached_input
             .as_ref()
             .expect("conv backward before forward");
-        let k = self.kernel();
-        let pad = self.padding();
-        let h = x.shape().dim(2);
-        let w = x.shape().dim(3);
-        if self.use_gemm() {
-            let (gw, gb) = im2col::conv2d_backward_params_im2col_ws(grad_out, x, k, pad, ws);
-            self.weight.grad.add_assign(&gw);
-            self.bias.grad.add_assign(&gb);
-            ws.release(gw);
-            ws.release(gb);
-            im2col::conv2d_backward_input_im2col_ws(grad_out, &self.weight.value, h, w, pad, ws)
+        let (k, pad) = (self.kernel(), self.padding());
+        let (gw, gb) = if self.use_gemm() {
+            im2col::conv2d_backward_params_im2col_ws(grad_out, x, k, pad, ws)
         } else {
             let mut gw = ws.acquire_uninit(self.weight.value.shape().dims());
             let mut gb = ws.acquire_uninit(self.bias.value.shape().dims());
             conv::conv2d_backward_params_into(grad_out, x, k, pad, &mut gw, &mut gb);
-            self.weight.grad.add_assign(&gw);
-            self.bias.grad.add_assign(&gb);
-            ws.release(gw);
-            ws.release(gb);
-            let d = x.shape().dims();
+            (gw, gb)
+        };
+        self.weight.grad.add_assign(&gw);
+        self.bias.grad.add_assign(&gb);
+        ws.release(gw);
+        ws.release(gb);
+    }
+
+    /// The input half of [`ConvLayer::backward_ws`]: the gradient w.r.t.
+    /// the layer input, touching no parameter gradient.
+    ///
+    /// # Panics
+    ///
+    /// Panics if called before a training-mode forward pass.
+    pub fn backward_input_ws(&self, grad_out: &Tensor, ws: &mut Workspace) -> Tensor {
+        let x = self
+            .cached_input
+            .as_ref()
+            .expect("conv backward before forward");
+        let d = x.shape().dims();
+        let (h, w, pad) = (d[2], d[3], self.padding());
+        if self.use_gemm() {
+            im2col::conv2d_backward_input_im2col_ws(grad_out, &self.weight.value, h, w, pad, ws)
+        } else {
             let mut gin = ws.acquire_uninit([d[0], d[1], h, w]);
             conv::conv2d_backward_input_into(grad_out, &self.weight.value, pad, &mut gin);
             gin

@@ -247,17 +247,32 @@ impl Network {
     /// retained across steps (as the training loop does) runs steady-state
     /// backward passes without heap allocation.
     ///
+    /// Nothing reads the gradient w.r.t. the network input, so when the
+    /// first node is a convolution (as every conv-body architecture
+    /// builds it) only its parameter gradients are computed.
+    ///
     /// # Panics
     ///
     /// Panics unless a training-mode forward pass preceded this call.
     pub fn backward_with(&mut self, grad_logits: &Tensor, ws: &mut Workspace) {
+        let Some((first, rest)) = self.nodes.split_first_mut() else {
+            return;
+        };
         let mut g: Option<Tensor> = None;
-        for node in self.nodes.iter_mut().rev() {
+        for node in rest.iter_mut().rev() {
             let next = node.backward_ws(g.as_ref().unwrap_or(grad_logits), ws);
             if let Some(prev) = g.take() {
                 ws.release(prev);
             }
             g = Some(next);
+        }
+        let upstream = g.as_ref().unwrap_or(grad_logits);
+        match first {
+            LayerNode::Conv(conv) => conv.backward_params_ws(upstream, ws),
+            node => {
+                let unread = node.backward_ws(upstream, ws);
+                ws.release(unread);
+            }
         }
         if let Some(last) = g {
             ws.release(last);
@@ -542,6 +557,41 @@ mod tests {
         net.zero_grad();
         let grads_sq: f32 = net.params_mut().iter().map(|p| p.grad.sq_norm()).sum();
         assert_eq!(grads_sq, 0.0);
+    }
+
+    /// Skipping the first convolution's input gradient changes no
+    /// parameter gradient: `backward_with` matches every node's full
+    /// backward, chained by hand, bit for bit — plain and residual bodies.
+    #[test]
+    fn backward_with_skips_only_the_unread_input_gradient() {
+        let archs = [
+            Architecture::plain(
+                "p",
+                input(),
+                4,
+                vec![ConvBlockSpec::repeated(3, 6, 2)],
+                vec![8],
+            ),
+            Architecture::residual("r", input(), 4, vec![ResBlockSpec::new(1, 4, 3)]),
+        ];
+        for arch in &archs {
+            let x = Tensor::randn([5, 3, 8, 8], 1.0, &mut StdRng::seed_from_u64(8));
+            let grads = |net: &mut Network| -> Vec<Vec<u32>> {
+                let p = net.params_mut();
+                p.iter()
+                    .map(|p| p.grad.data().iter().map(|v| v.to_bits()).collect())
+                    .collect()
+            };
+            let mut fused = Network::seeded(arch, 9);
+            let y = fused.forward(&x, Mode::Train);
+            fused.backward_with(&y, &mut Workspace::new());
+            let mut chained = Network::seeded(arch, 9);
+            let mut g = chained.forward(&x, Mode::Train);
+            for node in chained.nodes_mut().iter_mut().rev() {
+                g = node.backward(&g);
+            }
+            assert_eq!(grads(&mut fused), grads(&mut chained), "{}", arch.name);
+        }
     }
 
     #[test]

@@ -1,104 +1,87 @@
-//! Convolution lowered onto the GEMM micro-kernel ([`crate::ops`]): a fused
-//! implicit-GEMM forward pass, and im2col + GEMM backward passes.
+//! Convolution lowered onto the GEMM micro-kernel ([`crate::ops`]): the
+//! forward pass and both backward passes are fused implicit-GEMM passes
+//! that never materialise a patch matrix. [`im2col_into`] remains as the
+//! explicit unfold the test references are built from.
 //!
-//! ## Forward: one fused pass, no patch matrix
+//! * **Forward** ([`conv2d_forward_im2col_ws`]): `[F, C·K·K] × [C·K·K,
+//!   N·H'·W']`. M = filters: the weight storage already is the row-major
+//!   left operand, packed into [`MR`]-row A tiles once per call. N = output
+//!   positions `n·H'·W' + oh·W' + ow`, [`NR`] per panel, panels running
+//!   across image boundaries. Per block of batch items (the fewest whose
+//!   positions fill whole panels) the input is copied once into a
+//!   zero-bordered staging buffer; per panel the `[C·K·K × NR]` B panel is
+//!   packed from it, one fixed-length copy per tap `(c, kh, kw)` and
+//!   output-row run, and each register tile plus the bias is stored
+//!   straight into NCHW.
+//! * **Input gradient** ([`conv2d_backward_input_im2col_ws`]): M = taps,
+//!   the weight storage read transposed into `MR`-tap A tiles of depth F.
+//!   N = output positions, panels and blocks as in the forward, each
+//!   `[F × NR]` B panel copied from NCHW `grad_out`. Per panel the tap
+//!   tiles run in **descending** tap order, and each tap's register-tile
+//!   row is added, run by run, onto a zero-bordered staged gradient whose
+//!   interior is then cropped into the result.
+//! * **Weight gradient** ([`conv2d_backward_params_im2col_ws`]): M =
+//!   filters, packed item by item from NCHW `grad_out`; N = taps, each
+//!   `NR`-tap B panel packed from the once-staged input; the depth is every
+//!   output position of the batch, ascending, in one micro-kernel call.
 //!
-//! [`conv2d_forward_im2col_ws`] computes `out[n, f, oh, ow] = bias[f] +
-//! Σ_(c,kh,kw) w[f, c, kh, kw] · x[n, c, oh+kh−pad, ow+kw−pad]` as the
-//! product `[F, C·K·K] × [C·K·K, N·H'·W']` without ever materialising the
-//! right-hand matrix:
+//! Scratch comes from the [`Workspace`]; disjoint ranges of batch items (of
+//! filter tiles, for the weight gradient) fan out through
+//! [`crate::chunking`].
 //!
-//! * **M = filters.** The `[F, C, K, K]` weight storage already is the
-//!   row-major `[F, C·K·K]` left operand; it is packed into [`MR`]-row A
-//!   tiles once per call.
-//! * **N = output positions** `n·H'·W' + oh·W' + ow`, [`NR`] per panel.
-//!   Panels run across image boundaries, so small planes (2×2, 4×4) still
-//!   fill them.
-//! * **Per block of batch items** (the fewest whose positions fill whole
-//!   panels) the input planes are copied once into a zero-bordered staging
-//!   buffer. **Per panel**, the `[C·K·K × NR]` B panel is packed straight
-//!   from that staging copy — each tap `(c, kh, kw)` of a run of positions
-//!   in one output row is one contiguous, fixed-length copy — the
-//!   micro-kernel runs once per filter tile, and the register tile plus the
-//!   bias is stored directly into NCHW. The panel stays L1-resident; the
-//!   9×-expanded patch matrix, its re-packing, the `[N·H'·W', F]` product
-//!   and the transpose back to NCHW do not exist.
-//! * **Scratch** (A tiles, staging, panel) comes from the [`Workspace`].
-//!   The batch fans out over disjoint ranges of batch items through
-//!   [`crate::chunking`], one private scratch piece per range; inline, one
-//!   piece serves the whole batch.
+//! **The bits are those of the explicit compositions** these passes
+//! replaced, kept in the `kernel_equivalence` suite as `to_bits`
+//! references: im2col + `matmul_nt` + bias; `grad_out` as an `[N·H'·W', F]`
+//! matrix × the weight view, then col2im; that matrix under `matmul_tn`
+//! against the im2col matrix.
 //!
-//! The bits are those of the composition this replaced (`im2col_into`,
-//! `matmul_nt_into`, transpose + bias — kept as the `to_bits` reference in
-//! the `kernel_equivalence` suite): every output element is still one
-//! multiply-add chain from 0 over `(c, kh, kw)` ascending — padding taps
-//! included, as explicit zeros — in the same micro-kernel, with the bias
-//! added last. Making the filters the A operand only swaps the two factors
-//! of each product. Which panel column, block, range or thread computes an
-//! element cannot matter, so an example's output does not depend on the
-//! rest of its batch.
+//! * Every output, patch gradient and weight gradient is still one
+//!   multiply-add chain from 0 in the same micro-kernel over the same
+//!   ascending index (`(c, kh, kw)`, `f`, position), padding taps included
+//!   as explicit zeros. Swapping which operand is A only swaps the factors
+//!   of each exactly-rounded product.
+//! * Input-gradient element `(c, y, x)` takes one contribution per tap
+//!   `(c, kh, kw)`, from position `(y − kh, x − kw)`: descending taps within
+//!   a panel are ascending positions, and panels ascend, so each element is
+//!   summed from 0 in col2im's order. Padding contributions land on the
+//!   staged border and are cropped away.
+//! * Which panel, block, range or thread computes an element cannot
+//!   matter, so an example's results do not depend on its batch.
 //!
-//! With the register-tiled kernel this wins whenever the reduction depth
-//! `C·K·K` is non-trivial; the direct kernel ([`crate::conv`]) wins for
-//! very shallow reductions (e.g. 1×1 kernels on few channels). The
-//! `ConvLayer` in `mn-nn` picks between them per layer shape, and the
-//! property tests pin both to identical outputs.
-//!
-//! ## Backward: im2col + GEMM
-//!
-//! [`im2col_into`] unfolds the input into the explicit `[N·H'·W', C·K·K]`
-//! patch matrix (its batch loop fans out across rayon workers, one batch
-//! item's rows per work unit — disjoint output, bitwise-deterministic):
-//!
-//! * input gradient ([`conv2d_backward_input_im2col`]) — multiply the
-//!   rearranged upstream gradient `[N·H'·W', F]` by the `[F, C·K·K]`
-//!   weight view, then fold overlapping receptive fields back with the
-//!   col2im scatter ([`col2im_accumulate_into`]);
-//! * weight gradient ([`conv2d_backward_params_im2col`]) — the
-//!   im2col-transposed product `[N·H'·W', F]ᵀ × [N·H'·W', C·K·K]`.
-//!
-//! The direct loops in [`crate::conv`] survive as the ground truth the
-//! `gradient_equivalence` property suite pins these kernels against.
+//! The direct kernels ([`crate::conv`]) win for very shallow reductions;
+//! `ConvLayer` in `mn-nn` picks per layer shape, and the
+//! `gradient_equivalence` suite pins both formulations to each other.
 
-use crate::chunking::{for_each_chunk, for_each_chunk_zip};
+use crate::chunking::for_each_chunk_zip;
 use crate::conv::conv_out_extent;
-use crate::ops::{AShape, MatRef, MR, NR};
+use crate::ops::{AShape, MR, NR};
 use crate::{ops, Tensor, Workspace};
 
-/// Below this many copied elements the unfold runs on the calling thread.
-const PARALLEL_COPY_THRESHOLD: usize = 64 * 1024;
-
-/// Below this many multiply-adds the fused forward convolution runs on the
-/// calling thread. Measured on two threads of the development sandbox,
-/// whose rayon stand-in spawns its workers per call (about 70 µs): fanning
-/// out breaks even near 2.4 M multiply-adds, loses 2× at 0.6 M and gains
-/// 1.25× or more from 3.5 M up.
+/// Below this many multiply-adds a fused pass runs on the calling thread:
+/// with the rayon stand-in spawning workers per call (about 70 µs), the
+/// forward on two threads breaks even near 2.4 M and gains ≥ 1.25× at 3.5 M.
 const PARALLEL_MAC_THRESHOLD: usize = 4 * 1024 * 1024;
 
-/// Unfolds `input: [N, C, H, W]` into the im2col matrix
-/// `[N·H'·W', C·K·K]`, where each row is the receptive field of one output
-/// position (zero-padded out of bounds).
+/// Unfolds `input: [N, C, H, W]` into the im2col matrix `[N·H'·W', C·K·K]`,
+/// each row one output position's zero-padded receptive field.
 ///
 /// # Panics
 ///
-/// Panics if the input is not 4-D or the kernel (less padding) exceeds the
-/// input extent.
+/// Panics if the input is not 4-D or the padded input is narrower than `k`.
 pub fn im2col(input: &Tensor, k: usize, pad: usize) -> Tensor {
     let d = input.shape().dims();
     assert_eq!(d.len(), 4, "im2col input must be [N, C, H, W]");
-    let (n_batch, c_in, h, w) = (d[0], d[1], d[2], d[3]);
-    let ho = conv_out_extent(h, k, pad);
-    let wo = conv_out_extent(w, k, pad);
-    let mut out = Tensor::zeros([n_batch * ho * wo, c_in * k * k]);
+    let g = ConvGeom::new(d[1], 0, k, pad, d[2], d[3]);
+    let mut out = Tensor::zeros([d[0] * g.plane(), g.depth()]);
     im2col_into(input, k, pad, &mut out);
     out
 }
 
 /// [`im2col`] writing into a caller-provided output tensor.
 ///
-/// `out` must be `[N·H'·W', C·K·K]`; every element is written (zeros for
-/// out-of-bounds receptive-field positions), so the buffer need not be
-/// zeroed beforehand.
+/// `out` must be `[N·H'·W', C·K·K]`; every element is written, so it need
+/// not be zeroed. No training or serving path runs this unfold: it builds
+/// the explicit patch matrix the test references multiply.
 ///
 /// # Panics
 ///
@@ -106,53 +89,21 @@ pub fn im2col(input: &Tensor, k: usize, pad: usize) -> Tensor {
 pub fn im2col_into(input: &Tensor, k: usize, pad: usize, out: &mut Tensor) {
     let d = input.shape().dims();
     assert_eq!(d.len(), 4, "im2col input must be [N, C, H, W]");
-    let (n_batch, c_in, h, w) = (d[0], d[1], d[2], d[3]);
-    let ho = conv_out_extent(h, k, pad);
-    let wo = conv_out_extent(w, k, pad);
-    let row_len = c_in * k * k;
-    assert_eq!(
-        out.shape().dims(),
-        &[n_batch * ho * wo, row_len],
-        "im2col output must be [{}, {row_len}]",
-        n_batch * ho * wo
-    );
-    let id = input.data();
-    let ipad = pad as isize;
-    let per_item = ho * wo * row_len;
-    let total = n_batch * per_item;
-    let unfold_item = |n: usize, ochunk: &mut [f32]| {
-        for oh in 0..ho {
-            for ow in 0..wo {
-                let row = (oh * wo + ow) * row_len;
-                for c in 0..c_in {
-                    let ibase = (n * c_in + c) * h * w;
-                    for kh in 0..k {
-                        let obase = row + (c * k + kh) * k;
-                        let ih = oh as isize + kh as isize - ipad;
-                        if ih < 0 || ih as usize >= h {
-                            ochunk[obase..obase + k].fill(0.0); // padding
-                            continue;
-                        }
-                        let irow = ibase + ih as usize * w;
-                        for kw in 0..k {
-                            let iw = ow as isize + kw as isize - ipad;
-                            ochunk[obase + kw] = if iw >= 0 && (iw as usize) < w {
-                                id[irow + iw as usize]
-                            } else {
-                                0.0 // padding
-                            };
-                        }
-                    }
-                }
+    let g = ConvGeom::new(d[1], 0, k, pad, d[2], d[3]);
+    let (want, depth) = ([d[0] * g.plane(), g.depth()], g.depth());
+    assert_eq!(out.shape().dims(), &want, "im2col output must be {want:?}");
+    let mut stage = vec![0.0; g.c_in * g.padded_plane()];
+    let items = input.data().chunks_exact((g.c_in * g.h * g.w).max(1));
+    for (item, rows) in items.zip(out.data_mut().chunks_exact_mut((g.plane() * depth).max(1))) {
+        stage_padded(item, &mut stage, g.c_in, g.h, g.w, pad);
+        for (q, row) in rows.chunks_exact_mut(depth).enumerate() {
+            let taps =
+                (0..g.c_in).flat_map(|c| (0..k).map(move |kh| c * g.padded_plane() + kh * g.wp()));
+            for (run, at) in row.chunks_exact_mut(k).zip(taps) {
+                run.copy_from_slice(&stage[g.staged_offset(q) + at..][..k]);
             }
         }
-    };
-    for_each_chunk(
-        out.data_mut(),
-        per_item,
-        total >= PARALLEL_COPY_THRESHOLD,
-        unfold_item,
-    );
+    }
 }
 
 /// Convolution as one fused implicit-GEMM pass (see the module docs);
@@ -166,7 +117,7 @@ pub fn conv2d_forward_im2col(input: &Tensor, weight: &Tensor, bias: &Tensor, pad
     conv2d_forward_im2col_ws(input, weight, bias, pad, &mut Workspace::new())
 }
 
-/// Shape of one forward convolution, shared by the fused kernel's helpers.
+/// Shape of one convolution, shared by the fused kernels' helpers.
 #[derive(Clone, Copy)]
 struct ConvGeom {
     c_in: usize,
@@ -180,6 +131,20 @@ struct ConvGeom {
 }
 
 impl ConvGeom {
+    fn new(c_in: usize, f_out: usize, k: usize, pad: usize, h: usize, w: usize) -> Self {
+        let (ho, wo) = (conv_out_extent(h, k, pad), conv_out_extent(w, k, pad));
+        ConvGeom {
+            c_in,
+            f_out,
+            k,
+            pad,
+            h,
+            w,
+            ho,
+            wo,
+        }
+    }
+
     /// Width of a zero-padded staged row.
     fn wp(&self) -> usize {
         self.w + 2 * self.pad
@@ -198,6 +163,13 @@ impl ConvGeom {
     /// The reduction depth `C·K·K`.
     fn depth(&self) -> usize {
         self.c_in * self.k * self.k
+    }
+
+    /// Offset, from a receptive field's `(c, kh, kw) = 0` corner in a
+    /// staged block, of tap `j = (c·K + kh)·K + kw`.
+    fn tap_offset(&self, j: usize) -> usize {
+        let (c, kh, kw) = (j / (self.k * self.k), j / self.k % self.k, j % self.k);
+        c * self.padded_plane() + kh * self.wp() + kw
     }
 
     /// Offset, in a staged block, of the `(c, kh, kw) = 0` corner of block
@@ -303,9 +275,8 @@ fn pack_panel(g: &ConvGeom, stage: &[f32], runs: &[Span], valid: usize, panel: &
     }
 }
 
-/// What every range of one forward convolution shares: the shape, the
-/// packed filter tiles, the bias, the micro-kernel backend and how many
-/// batch items are staged at a time.
+/// What every range of a fused pass over batch items shares: the shape, A
+/// tiles, bias (empty for the input gradient), backend and block size.
 struct FusedConv<'a> {
     g: ConvGeom,
     a_tiles: &'a [f32],
@@ -383,16 +354,7 @@ pub fn conv2d_forward_im2col_ws(
     assert_eq!(wd[3], k, "only square kernels supported");
     assert_eq!(d[1], c_w, "input channels mismatch");
     assert_eq!(bias.shape().dims(), &[f_out], "bias must be [filters]");
-    let g = ConvGeom {
-        c_in: c_w,
-        f_out,
-        k,
-        pad,
-        h,
-        w,
-        ho: conv_out_extent(h, k, pad),
-        wo: conv_out_extent(w, k, pad),
-    };
+    let g = ConvGeom::new(c_w, f_out, k, pad, h, w);
     let (plane, depth) = (g.plane(), g.depth());
     let mut out = ws.acquire_uninit([n_batch, f_out, g.ho, g.wo]);
     if out.is_empty() {
@@ -407,30 +369,14 @@ pub fn conv2d_forward_im2col_ws(
         ops::pack_a_tile(tile, weight.data(), AShape::RowMajor, f_out, depth, f0);
     }
 
-    // Output positions are the N dimension, NR per panel; panels run
-    // across image boundaries, so `unit` items are the least whose
-    // positions fill whole panels. A range (one fan-out work item) covers
-    // whole units unless the batch is no larger than one: then each image
-    // is its own range, ending in one partial panel, rather than the whole
-    // batch serialising. Inline, one range spans the batch and its single
-    // scratch piece is reused block by block.
-    let unit = NR / gcd(plane, NR);
-    let threads = rayon::current_num_threads();
-    let parallel =
-        threads > 1 && n_batch > 1 && n_batch * plane * depth * f_out >= PARALLEL_MAC_THRESHOLD;
-    let range_items = if !parallel {
-        n_batch
-    } else if n_batch <= unit {
-        1
-    } else {
-        n_batch.div_ceil(unit).div_ceil(4 * threads) * unit
-    };
+    // Output positions are the N dimension, NR per panel.
+    let (parallel, range_items, block_items) = item_ranges(&g, n_batch);
     let cv = FusedConv {
         g,
         a_tiles: a_tiles.data(),
         bias: bias.data(),
         backend: crate::simd::active(),
-        block_items: unit.min(range_items),
+        block_items,
     };
     let in_range = range_items * g.c_in * h * w;
     let piece = cv.block_items * g.c_in * g.padded_plane() + NR + depth * NR + NR;
@@ -452,6 +398,26 @@ pub fn conv2d_forward_im2col_ws(
     out
 }
 
+/// How a fused pass over `n_batch` items fans out: whether in parallel,
+/// the items per range (one work item, one scratch piece) and per staged
+/// block (the fewest items whose positions fill whole panels). A range is
+/// whole blocks unless the batch is at most one block: then each image is
+/// a range. Inline, one range spans the batch, reusing its piece.
+fn item_ranges(g: &ConvGeom, n_batch: usize) -> (bool, usize, usize) {
+    let unit = NR / gcd(g.plane(), NR);
+    let threads = rayon::current_num_threads();
+    let macs = n_batch * g.plane() * g.depth() * g.f_out;
+    let parallel = threads > 1 && n_batch > 1 && macs >= PARALLEL_MAC_THRESHOLD;
+    let range_items = if !parallel {
+        n_batch
+    } else if n_batch <= unit {
+        1
+    } else {
+        n_batch.div_ceil(unit).div_ceil(4 * threads) * unit
+    };
+    (parallel, range_items, unit.min(range_items))
+}
+
 fn gcd(a: usize, b: usize) -> usize {
     if b == 0 {
         a
@@ -460,102 +426,9 @@ fn gcd(a: usize, b: usize) -> usize {
     }
 }
 
-/// Rearranges `grad_out: [N, F, H', W']` into the GEMM-ready matrix
-/// `[N·H'·W', F]` (the transpose of the forward path's product layout),
-/// staging the output in `ws`. The batch loop fans out across rayon
-/// workers (disjoint output rows per item).
-fn grad_out_to_mat_ws(grad_out: &Tensor, ws: &mut Workspace) -> Tensor {
-    let d = grad_out.shape().dims();
-    assert_eq!(d.len(), 4, "conv grad_out must be [N, F, H', W']");
-    let (n_batch, f_out, ho, wo) = (d[0], d[1], d[2], d[3]);
-    let positions = ho * wo;
-    let mut mat = ws.acquire_uninit([n_batch * positions, f_out]);
-    let gd = grad_out.data();
-    let per_item = positions * f_out;
-    for_each_chunk(
-        mat.data_mut(),
-        per_item,
-        n_batch * per_item >= PARALLEL_COPY_THRESHOLD,
-        |n, mchunk| {
-            let gbase = n * f_out * positions;
-            for f in 0..f_out {
-                let grow = gbase + f * positions;
-                for p in 0..positions {
-                    mchunk[p * f_out + f] = gd[grow + p];
-                }
-            }
-        },
-    );
-    mat
-}
-
-/// Folds an im2col-layout gradient matrix `cols: [N·H'·W', C·K·K]` back
-/// into an input-shaped gradient `out: [N, C, H, W]`, accumulating
-/// overlapping receptive-field contributions (the col2im scatter). Every
-/// element of `out` is overwritten (zeroed first), so the buffer may come
-/// from [`Workspace::acquire_uninit`].
-///
-/// The batch loop fans out across rayon workers; within one item the
-/// scatter runs in a fixed order, so results are bitwise identical across
-/// thread counts.
-///
-/// # Panics
-///
-/// Panics on layout mismatches between `cols`, `k`, `pad` and `out`.
-pub fn col2im_accumulate_into(cols: &Tensor, k: usize, pad: usize, out: &mut Tensor) {
-    let d = *out.shape();
-    let d = d.dims();
-    assert_eq!(d.len(), 4, "col2im output must be [N, C, H, W]");
-    let (n_batch, c_in, h, w) = (d[0], d[1], d[2], d[3]);
-    let ho = conv_out_extent(h, k, pad);
-    let wo = conv_out_extent(w, k, pad);
-    let row_len = c_in * k * k;
-    assert_eq!(
-        cols.shape().dims(),
-        &[n_batch * ho * wo, row_len],
-        "col2im input must be [{}, {row_len}]",
-        n_batch * ho * wo
-    );
-    let cd = cols.data();
-    let ipad = pad as isize;
-    let per_item = c_in * h * w;
-    let total = n_batch * ho * wo * row_len;
-    for_each_chunk(
-        out.data_mut(),
-        per_item,
-        total >= PARALLEL_COPY_THRESHOLD,
-        |n, gchunk| {
-            gchunk.fill(0.0);
-            for oh in 0..ho {
-                for ow in 0..wo {
-                    let row = ((n * ho + oh) * wo + ow) * row_len;
-                    for c in 0..c_in {
-                        let ibase = c * h * w;
-                        for kh in 0..k {
-                            let ih = oh as isize + kh as isize - ipad;
-                            if ih < 0 || ih as usize >= h {
-                                continue; // padding rows carry no gradient
-                            }
-                            let irow = ibase + ih as usize * w;
-                            let cbase = row + (c * k + kh) * k;
-                            for kw in 0..k {
-                                let iw = ow as isize + kw as isize - ipad;
-                                if iw >= 0 && (iw as usize) < w {
-                                    gchunk[irow + iw as usize] += cd[cbase + kw];
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        },
-    );
-}
-
-/// Gradient of the loss w.r.t. the convolution input via the blocked GEMM
-/// core: `[N·H'·W', F] × [F, C·K·K]` followed by a col2im fold. Matches
-/// [`crate::conv::conv2d_backward_input`] up to float summation order
-/// (pinned by the `gradient_equivalence` suite).
+/// Gradient of the loss w.r.t. the convolution input as one fused
+/// implicit-GEMM pass (see the module docs); matches
+/// [`crate::conv::conv2d_backward_input`] up to float summation order.
 ///
 /// # Panics
 ///
@@ -570,13 +443,71 @@ pub fn conv2d_backward_input_im2col(
     conv2d_backward_input_im2col_ws(grad_out, weight, h, w, pad, &mut Workspace::new())
 }
 
-/// [`conv2d_backward_input_im2col`] staging every intermediate (the
-/// rearranged gradient matrix, the GEMM product, and the returned input
-/// gradient) in a [`Workspace`].
+/// The fused input-gradient pass over a range of batch items, `grad_out`
+/// and `gin` being those items' `[F, H', W']` and `[C, H, W]` storage: per
+/// block of items, zero a staged gradient; per panel, pack the `[F × NR]`
+/// B panel from NCHW, then run the tap tiles in descending tap order and
+/// add each tap's register-tile row, run by run, onto the staged gradient
+/// (see the module docs for why this is col2im's order); crop the block's
+/// interior into `gin`. `piece` holds the staged block and one panel.
+// mn-lint: hot-path
+fn grad_input_range(cv: &FusedConv, grad_out: &[f32], gin: &mut [f32], piece: &mut [f32]) {
+    let g = &cv.g;
+    let (plane, depth, f_out) = (g.plane(), g.depth(), g.f_out);
+    let (pp, wp) = (g.padded_plane(), g.wp());
+    let in_item = g.c_in * g.h * g.w;
+    let items = gin.len() / in_item;
+    let (stage, panel) = piece.split_at_mut(cv.block_items * g.c_in * pp);
+    let mut acc = [0.0f32; MR * NR];
+    let (mut runs, mut segs) = ([Span::default(); NR], [Span::default(); NR]);
+    for b0 in (0..items).step_by(cv.block_items) {
+        let b_items = cv.block_items.min(items - b0);
+        let stage = &mut stage[..b_items * g.c_in * pp];
+        stage.fill(0.0);
+        let positions = b_items * plane;
+        for q0 in (0..positions).step_by(NR) {
+            let valid = NR.min(positions - q0);
+            let grad_offset = |q| (b0 + q / plane) * f_out * plane + q % plane;
+            let n_segs = cut_panel(q0, valid, plane, grad_offset, &mut segs);
+            for (f, prow) in panel.chunks_exact_mut(NR).enumerate() {
+                for seg in &segs[..n_segs] {
+                    let src = &grad_out[seg.at + f * plane..][..seg.len];
+                    prow[seg.col..seg.col + seg.len].copy_from_slice(src);
+                }
+                prow[valid..].fill(0.0);
+            }
+            let n_runs = cut_panel(q0, valid, g.wo, |q| g.staged_offset(q), &mut runs);
+            for t0 in (0..depth).step_by(MR).rev() {
+                let a_tile = &cv.a_tiles[t0 * f_out..(t0 + MR) * f_out];
+                crate::simd::microkernel(cv.backend, f_out, a_tile, panel, &mut acc);
+                for tap in (t0..depth.min(t0 + MR)).rev() {
+                    let at = g.tap_offset(tap);
+                    let acc_row = &acc[(tap - t0) * NR..];
+                    for run in &runs[..n_runs] {
+                        let dst = &mut stage[run.at + at..][..run.len];
+                        for (d, &v) in dst.iter_mut().zip(&acc_row[run.col..]) {
+                            *d += v;
+                        }
+                    }
+                }
+            }
+        }
+        let gin_block = &mut gin[b0 * in_item..(b0 + b_items) * in_item];
+        for (row, drow) in gin_block.chunks_exact_mut(g.w).enumerate() {
+            let (p, y) = (row / g.h, row % g.h);
+            drow.copy_from_slice(&stage[p * pp + (y + g.pad) * wp + g.pad..][..g.w]);
+        }
+    }
+}
+
+/// [`conv2d_backward_input_im2col`] taking all its scratch (the packed
+/// weight tiles, the staged gradient blocks and the B panels) and the
+/// returned input gradient from a [`Workspace`].
 ///
 /// # Panics
 ///
 /// Panics on the same layout violations as the direct kernel.
+// mn-lint: hot-path
 pub fn conv2d_backward_input_im2col_ws(
     grad_out: &Tensor,
     weight: &Tensor,
@@ -592,43 +523,53 @@ pub fn conv2d_backward_input_im2col_ws(
     assert_eq!(wd.len(), 4, "conv weight must be [F, C, K, K]");
     let (f_w, c_in, k) = (wd[0], wd[1], wd[2]);
     assert_eq!(wd[3], k, "only square kernels supported");
-    assert_eq!(
-        f_out, f_w,
-        "grad_out filters {f_out} != weight filters {f_w}"
-    );
-    assert_eq!(
-        ho,
-        conv_out_extent(h, k, pad),
-        "grad_out height inconsistent"
-    );
-    assert_eq!(
-        wo,
-        conv_out_extent(w, k, pad),
-        "grad_out width inconsistent"
-    );
-
-    let positions = n_batch * ho * wo;
-    let row_len = c_in * k * k;
-    // cols_grad[(n,oh,ow), (c,kh,kw)] = Σ_f g[n,f,oh,ow] · w[f,c,kh,kw]:
-    // a [NHW, F] × [F, CKK] product straight onto the weight storage.
-    let gmat = grad_out_to_mat_ws(grad_out, ws);
-    let mut cols_grad = ws.acquire_uninit([positions, row_len]);
-    ops::matmul_into_ws(
-        &gmat,
-        MatRef::reshaped(weight, f_out, row_len),
-        &mut cols_grad,
-        ws,
-    );
-    ws.release(gmat);
+    assert_eq!(f_out, f_w, "grad_out has {f_out} filters, weight {f_w}");
+    let g = ConvGeom::new(c_in, f_out, k, pad, h, w);
+    assert_eq!(ho, g.ho, "grad_out height inconsistent");
+    assert_eq!(wo, g.wo, "grad_out width inconsistent");
+    let depth = g.depth();
     let mut gin = ws.acquire_uninit([n_batch, c_in, h, w]);
-    col2im_accumulate_into(&cols_grad, k, pad, &mut gin);
-    ws.release(cols_grad);
+    if gin.is_empty() {
+        return gin;
+    }
+
+    // Taps are the GEMM's M dimension: the [F, C·K·K] weight storage, read
+    // transposed, packed once into MR-tap A tiles of depth F.
+    let mut a_tiles = ws.acquire_uninit([depth.div_ceil(MR) * MR * f_out]);
+    for t0 in (0..depth).step_by(MR) {
+        let tile = &mut a_tiles.data_mut()[t0 * f_out..(t0 + MR) * f_out];
+        ops::pack_a_tile(tile, weight.data(), AShape::Transposed, depth, f_out, t0);
+    }
+    let (parallel, range_items, block_items) = item_ranges(&g, n_batch);
+    let cv = FusedConv {
+        g,
+        a_tiles: a_tiles.data(),
+        bias: &[],
+        backend: crate::simd::active(),
+        block_items,
+    };
+    let piece = block_items * c_in * g.padded_plane() + f_out * NR;
+    let mut scratch = ws.acquire_uninit([n_batch.div_ceil(range_items) * piece]);
+    let in_range = range_items * f_out * g.plane();
+    let gd = grad_out.data();
+    for_each_chunk_zip(
+        gin.data_mut(),
+        scratch.data_mut(),
+        range_items * c_in * h * w,
+        piece,
+        parallel,
+        |range, gchunk, piece| {
+            let items = &gd[range * in_range..gd.len().min((range + 1) * in_range)];
+            grad_input_range(&cv, items, gchunk, piece);
+        },
+    );
+    ws.release(scratch);
+    ws.release(a_tiles);
     gin
 }
 
-/// Gradients of the loss w.r.t. the convolution weight and bias via the
-/// blocked GEMM core: the weight gradient is the im2col-transposed
-/// product `[N·H'·W', F]ᵀ × [N·H'·W', C·K·K]`. Matches
+/// Gradients of the loss w.r.t. the convolution weight (one fused
+/// implicit-GEMM pass, see the module docs) and bias; they match
 /// [`crate::conv::conv2d_backward_params`] up to float summation order.
 ///
 /// # Panics
@@ -643,13 +584,38 @@ pub fn conv2d_backward_params_im2col(
     conv2d_backward_params_im2col_ws(grad_out, input, k, pad, &mut Workspace::new())
 }
 
-/// [`conv2d_backward_params_im2col`] staging every intermediate (unfold
-/// matrix, gradient matrix, and the returned gradients) in a
-/// [`Workspace`].
+/// Packs the `[N·H'·W' × NR]` B panel of taps `j0..j0 + NR` from the staged
+/// batch: row `p` holds those taps' inputs at output position `p` (padding
+/// as explicit zeros), zero past the last tap.
+// mn-lint: hot-path
+fn pack_tap_panel(g: &ConvGeom, stage: &[f32], j0: usize, panel: &mut [f32]) {
+    let taps = NR.min(g.depth() - j0);
+    let mut offsets = [0usize; NR];
+    for (j, off) in (j0..).zip(&mut offsets[..taps]) {
+        *off = g.tap_offset(j);
+    }
+    let mut rows = panel.chunks_exact_mut(NR);
+    for item in stage.chunks_exact(g.c_in * g.padded_plane()) {
+        for oh in 0..g.ho {
+            for (ow, row) in (0..g.wo).zip(&mut rows) {
+                let corner = &item[oh * g.wp() + ow..];
+                for (v, &off) in row[..taps].iter_mut().zip(&offsets) {
+                    *v = corner[off];
+                }
+                row[taps..].fill(0.0);
+            }
+        }
+    }
+}
+
+/// [`conv2d_backward_params_im2col`] taking all its scratch (the staged
+/// batch, the packed filter tiles and the tap panels) and the returned
+/// gradients from a [`Workspace`].
 ///
 /// # Panics
 ///
 /// Panics on layout mismatches between `grad_out`, `input` and `k`.
+// mn-lint: hot-path
 pub fn conv2d_backward_params_im2col_ws(
     grad_out: &Tensor,
     input: &Tensor,
@@ -664,19 +630,9 @@ pub fn conv2d_backward_params_im2col_ws(
     assert_eq!(id.len(), 4, "conv input must be [N, C, H, W]");
     let (n_in, c_in, h, w) = (id[0], id[1], id[2], id[3]);
     assert_eq!(n_batch, n_in, "batch mismatch");
-    assert_eq!(
-        ho,
-        conv_out_extent(h, k, pad),
-        "grad_out height inconsistent"
-    );
-    assert_eq!(
-        wo,
-        conv_out_extent(w, k, pad),
-        "grad_out width inconsistent"
-    );
-
-    let positions = n_batch * ho * wo;
-    let row_len = c_in * k * k;
+    let g = ConvGeom::new(c_in, f_out, k, pad, h, w);
+    assert_eq!(ho, g.ho, "grad_out height inconsistent");
+    assert_eq!(wo, g.wo, "grad_out width inconsistent");
 
     // Bias gradient: plain sum over batch and positions, in the same
     // order as the direct kernel (bitwise-equal results).
@@ -692,18 +648,62 @@ pub fn conv2d_backward_params_im2col_ws(
         }
     }
 
-    // Weight gradient: gw = gmatᵀ · cols over the full batch of output
-    // positions. The product is computed in the GEMM's [F, CKK] matrix
-    // layout, then the owned output is relabeled to the weight's
-    // [F, C, K, K] shape (same storage, no copy).
-    let mut cols = ws.acquire_uninit([positions, row_len]);
-    im2col_into(input, k, pad, &mut cols);
-    let gmat = grad_out_to_mat_ws(grad_out, ws);
-    let mut gw = ws.acquire_uninit([f_out, row_len]);
-    ops::matmul_tn_into_ws(&gmat, &cols, &mut gw, ws);
-    gw.reshape_in_place([f_out, c_in, k, k]);
-    ws.release(gmat);
-    ws.release(cols);
+    let (plane, depth, positions) = (g.plane(), g.depth(), n_batch * g.plane());
+    let mut gw = ws.acquire_uninit([f_out, c_in, k, k]);
+    if positions == 0 || gw.is_empty() {
+        gw.data_mut().fill(0.0);
+        return (gw, gb);
+    }
+
+    // Filters are the GEMM's M dimension and output positions its depth:
+    // each item's [F, H'·W'] gradient block is a row-major A operand, so
+    // the MR-filter A tiles are packed item by item straight from NCHW.
+    let mut a_tiles = ws.acquire_uninit([f_out.div_ceil(MR) * MR * positions]);
+    for f0 in (0..f_out).step_by(MR) {
+        for n in 0..n_batch {
+            let part = &mut a_tiles.data_mut()[(f0 * n_batch + n * MR) * plane..][..MR * plane];
+            let item = &grad_out.data()[n * f_out * plane..][..f_out * plane];
+            ops::pack_a_tile(part, item, AShape::RowMajor, f_out, plane, f0);
+        }
+    }
+    // Taps are N: each NR-tap B panel, packed from the staged batch, meets
+    // the range's filter tiles. Ranges of filter tiles fan out, each
+    // packing its own panels; inline, one range packs every panel once.
+    let mut stage = ws.acquire_uninit([n_batch * c_in * g.padded_plane()]);
+    stage_padded(input.data(), stage.data_mut(), n_batch * c_in, h, w, pad);
+    let f_tiles = f_out.div_ceil(MR);
+    let threads = rayon::current_num_threads();
+    let parallel =
+        threads > 1 && f_tiles > 1 && positions * depth * f_out >= PARALLEL_MAC_THRESHOLD;
+    let range_tiles = f_tiles.div_ceil(if parallel { threads } else { 1 });
+    let mut scratch = ws.acquire_uninit([f_tiles.div_ceil(range_tiles) * positions * NR]);
+    let backend = crate::simd::active();
+    let (staged, tiles) = (stage.data(), a_tiles.data());
+    for_each_chunk_zip(
+        gw.data_mut(),
+        scratch.data_mut(),
+        range_tiles * MR * depth,
+        positions * NR,
+        parallel,
+        |range, gw_rows, panel| {
+            let mut acc = [0.0f32; MR * NR];
+            let tiles = &tiles[range * range_tiles * positions * MR..];
+            for j0 in (0..depth).step_by(NR) {
+                pack_tap_panel(&g, staged, j0, panel);
+                let taps = NR.min(depth - j0);
+                for (t, rows) in gw_rows.chunks_mut(MR * depth).enumerate() {
+                    let a_tile = &tiles[t * positions * MR..][..positions * MR];
+                    crate::simd::microkernel(backend, positions, a_tile, panel, &mut acc);
+                    for (row, acc_row) in rows.chunks_exact_mut(depth).zip(acc.chunks_exact(NR)) {
+                        row[j0..j0 + taps].copy_from_slice(&acc_row[..taps]);
+                    }
+                }
+            }
+        },
+    );
+    ws.release(scratch);
+    ws.release(stage);
+    ws.release(a_tiles);
     (gw, gb)
 }
 

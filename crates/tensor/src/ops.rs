@@ -251,17 +251,15 @@ fn packed_b_len(k: usize, n: usize) -> usize {
 }
 
 /// Packs `B: [k, n]` into `NR`-column panels, each `[k × NR]` contiguous,
-/// zero-padded past `n`, writing into `buf` (every element is written).
+/// zero-padded past `n`, writing into `buf` (every element is written:
+/// the copied columns, then the last panel's tail columns).
 fn pack_b_nn_into(b: &[f32], k: usize, n: usize, buf: &mut [f32]) {
     debug_assert_eq!(buf.len(), packed_b_len(k, n));
-    buf.fill(0.0);
-    let panels = n.div_ceil(NR);
-    for jp in 0..panels {
-        let j0 = jp * NR;
+    for (j0, panel) in (0..n).step_by(NR).zip(buf.chunks_exact_mut(k * NR)) {
         let w = NR.min(n - j0);
-        let panel = &mut buf[jp * k * NR..(jp + 1) * k * NR];
-        for p in 0..k {
-            panel[p * NR..p * NR + w].copy_from_slice(&b[p * n + j0..p * n + j0 + w]);
+        for (p, row) in panel.chunks_exact_mut(NR).enumerate() {
+            row[..w].copy_from_slice(&b[p * n + j0..p * n + j0 + w]);
+            row[w..].fill(0.0);
         }
     }
 }
@@ -270,16 +268,17 @@ fn pack_b_nn_into(b: &[f32], k: usize, n: usize, buf: &mut [f32]) {
 /// [`pack_b_nn_into`], so `C = A · Bᵀ` shares the micro-kernel.
 fn pack_b_nt_into(b: &[f32], k: usize, n: usize, buf: &mut [f32]) {
     debug_assert_eq!(buf.len(), packed_b_len(k, n));
-    buf.fill(0.0);
-    let panels = n.div_ceil(NR);
-    for jp in 0..panels {
-        let j0 = jp * NR;
+    for (j0, panel) in (0..n).step_by(NR).zip(buf.chunks_exact_mut(k * NR)) {
         let w = NR.min(n - j0);
-        let panel = &mut buf[jp * k * NR..(jp + 1) * k * NR];
         for c in 0..w {
             let row = &b[(j0 + c) * k..(j0 + c) * k + k];
             for (p, &v) in row.iter().enumerate() {
                 panel[p * NR + c] = v;
+            }
+        }
+        if w < NR {
+            for prow in panel.chunks_exact_mut(NR) {
+                prow[w..].fill(0.0);
             }
         }
     }
@@ -294,8 +293,9 @@ enum BShape {
     Transposed,
 }
 
-/// Stages the packed-B buffer in `ws` (when given) or a fresh `Vec`, then
-/// runs the shared GEMM driver. All public products funnel through here.
+/// Stages the packed-B buffer and the packed-A band scratch in `ws` (when
+/// given) or a fresh `Vec`, then runs the shared GEMM driver. All public
+/// products funnel through here.
 #[allow(clippy::too_many_arguments)]
 fn gemm_raw(
     a: &[f32],
@@ -309,35 +309,75 @@ fn gemm_raw(
     ws: Option<&mut crate::Workspace>,
 ) {
     let plen = packed_b_len(k, n);
-    let pack = |buf: &mut [f32]| match b_shape {
-        BShape::RowMajor => pack_b_nn_into(b, k, n, buf),
-        BShape::Transposed => pack_b_nt_into(b, k, n, buf),
+    let bands = RowBands::new(m, n, k);
+    let alen = m.div_ceil(bands.range_rows.max(1)) * bands.a_piece(k);
+    let mut run = |buf: &mut [f32]| {
+        let (bp, a_scratch) = buf.split_at_mut(plen);
+        match b_shape {
+            _ if bp.is_empty() => {}
+            BShape::RowMajor => pack_b_nn_into(b, k, n, bp),
+            BShape::Transposed => pack_b_nt_into(b, k, n, bp),
+        }
+        gemm_driver(a, a_shape, bp, c, (m, n, k), &bands, a_scratch);
     };
     match ws {
         Some(ws) => {
-            let mut bp = ws.acquire_uninit([plen]);
-            pack(bp.data_mut());
-            gemm_driver(a, a_shape, bp.data(), c, m, n, k);
-            ws.release(bp);
+            let mut buf = ws.acquire_uninit([plen + alen]);
+            run(buf.data_mut());
+            ws.release(buf);
         }
-        None => {
-            let mut bp = vec![0.0f32; plen];
-            pack(&mut bp);
-            gemm_driver(a, a_shape, &bp, c, m, n, k);
+        None => run(&mut vec![0.0f32; plen + alen]),
+    }
+}
+
+/// How the GEMM driver splits the `m` output rows. A range is one fan-out
+/// work item with one private packed-A scratch piece; within a range,
+/// bands of at most [`BAND_ROWS`] rows reuse that piece. Inline, one range
+/// spans all rows.
+struct RowBands {
+    parallel: bool,
+    range_rows: usize,
+}
+
+impl RowBands {
+    fn new(m: usize, n: usize, k: usize) -> Self {
+        // Range size adapts to the worker count (a few ranges per worker
+        // for load balance), capped at BAND_ROWS for packed-A locality.
+        // Banding cannot affect numerics: bands are multiples of MR, so the
+        // register tiles stay globally MR-aligned and every output element
+        // is computed in the same order for ANY band size — results are
+        // bitwise identical across thread counts.
+        let threads = rayon::current_num_threads();
+        let parallel = m * n * k >= PARALLEL_FLOP_THRESHOLD && threads > 1 && m > MR;
+        let range_rows = if parallel {
+            (m.div_ceil(4 * threads).div_ceil(MR) * MR).min(BAND_ROWS)
+        } else {
+            m
+        };
+        RowBands {
+            parallel,
+            range_rows,
         }
+    }
+
+    /// Floats of packed-A scratch one range needs: one band's A tiles.
+    fn a_piece(&self, k: usize) -> usize {
+        self.range_rows.min(BAND_ROWS).div_ceil(MR) * MR * k
     }
 }
 
 /// The shared GEMM driver: writes `C = op(A) · op(B)` into `c`, which must
-/// hold `m * n` elements. Every element of `c` is overwritten.
+/// hold `m * n` elements. Every element of `c` is overwritten. `a_scratch`
+/// holds one [`RowBands::a_piece`] per range.
+// mn-lint: hot-path
 fn gemm_driver(
     a: &[f32],
     a_shape: AShape,
     b_packed: &[f32],
     c: &mut [f32],
-    m: usize,
-    n: usize,
-    k: usize,
+    (m, n, k): (usize, usize, usize),
+    bands: &RowBands,
+    a_scratch: &mut [f32],
 ) {
     if m == 0 || n == 0 {
         return;
@@ -347,52 +387,46 @@ fn gemm_driver(
         return;
     }
     let panels = n.div_ceil(NR);
-    // Band size adapts to the worker count (a few bands per worker for
-    // load balance), capped at BAND_ROWS for packed-A locality. Banding
-    // cannot affect numerics: bands are multiples of MR, so the register
-    // tiles stay globally MR-aligned and every output element is computed
-    // in the same order for ANY band size — results are bitwise identical
-    // across thread counts.
-    let threads = rayon::current_num_threads();
-    let worthwhile = m * n * k >= PARALLEL_FLOP_THRESHOLD && threads > 1 && m > MR;
-    let chunk_rows = if worthwhile {
-        (m.div_ceil(4 * threads).div_ceil(MR) * MR).min(BAND_ROWS)
-    } else {
-        BAND_ROWS
-    };
     // Resolve the kernel backend once per product; the per-tile dispatch
     // below is then a branch on a `Copy` enum. Backends are bitwise
     // identical (see `crate::simd`), so dispatch cannot affect results.
     let backend = crate::simd::active();
-    let band = |cband: &mut [f32], band_idx: usize| {
-        let i_base = band_idx * chunk_rows;
-        let band_rows = cband.len() / n;
-        let tiles = band_rows.div_ceil(MR);
-        // Pack the band's A tiles once; the j-panel loop then runs outermost
-        // so each 16-or-so-KB B panel stays L1-resident across every tile.
-        let mut a_band = vec![0.0f32; tiles * k * MR];
-        for (t, a_panel) in a_band.chunks_mut(k * MR).enumerate() {
-            pack_a_tile(a_panel, a, a_shape, m, k, i_base + t * MR);
-        }
-        for jp in 0..panels {
-            let j0 = jp * NR;
-            let w = NR.min(n - j0);
-            let b_panel = &b_packed[jp * k * NR..(jp + 1) * k * NR];
-            for (t, a_panel) in a_band.chunks(k * MR).enumerate() {
-                let it = t * MR;
-                let rows = MR.min(band_rows - it);
-                let mut acc = [0.0f32; MR * NR];
-                crate::simd::microkernel(backend, k, a_panel, b_panel, &mut acc);
-                for r in 0..rows {
-                    cband[(it + r) * n + j0..(it + r) * n + j0 + w]
-                        .copy_from_slice(&acc[r * NR..r * NR + w]);
+    let range = |range_idx: usize, crange: &mut [f32], a_piece: &mut [f32]| {
+        for (band_idx, cband) in crange.chunks_mut(BAND_ROWS * n).enumerate() {
+            let i_base = range_idx * bands.range_rows + band_idx * BAND_ROWS;
+            let band_rows = cband.len() / n;
+            let a_band = &mut a_piece[..band_rows.div_ceil(MR) * MR * k];
+            // Pack the band's A tiles once; the j-panel loop then runs
+            // outermost so each 16-or-so-KB B panel stays L1-resident
+            // across every tile.
+            for (t, a_panel) in a_band.chunks_mut(k * MR).enumerate() {
+                pack_a_tile(a_panel, a, a_shape, m, k, i_base + t * MR);
+            }
+            for jp in 0..panels {
+                let j0 = jp * NR;
+                let w = NR.min(n - j0);
+                let b_panel = &b_packed[jp * k * NR..(jp + 1) * k * NR];
+                for (t, a_panel) in a_band.chunks(k * MR).enumerate() {
+                    let it = t * MR;
+                    let rows = MR.min(band_rows - it);
+                    let mut acc = [0.0f32; MR * NR];
+                    crate::simd::microkernel(backend, k, a_panel, b_panel, &mut acc);
+                    for r in 0..rows {
+                        cband[(it + r) * n + j0..(it + r) * n + j0 + w]
+                            .copy_from_slice(&acc[r * NR..r * NR + w]);
+                    }
                 }
             }
         }
     };
-    crate::chunking::for_each_chunk(c, chunk_rows * n, worthwhile, |band_idx, cband| {
-        band(cband, band_idx)
-    });
+    crate::chunking::for_each_chunk_zip(
+        c,
+        a_scratch,
+        bands.range_rows * n,
+        bands.a_piece(k),
+        bands.parallel,
+        range,
+    );
 }
 
 /// A borrowed row-major matrix view over contiguous `f32` storage.

@@ -577,3 +577,205 @@ fn conv_fused_forward_ignores_poisoned_warm_workspace() {
         ws.release(warm);
     }
 }
+
+// ---------------------------------------------------------------------------
+// The fused implicit-GEMM backward convolution. Its contract is bit identity
+// with the compositions it replaced: the upstream gradient rearranged into
+// an `[N·H'·W', F]` matrix, multiplied by the `[F, C·K·K]` weight view and
+// folded back with col2im (input gradient); the im2col matrix under
+// `matmul_tn` against that same gradient matrix (weight gradient). Both
+// survive only here, as the `to_bits` references.
+// ---------------------------------------------------------------------------
+
+/// `grad_out: [N, F, H', W']` as the `[N·H'·W', F]` matrix.
+fn grad_out_to_mat(grad_out: &Tensor) -> Tensor {
+    let d = grad_out.shape().dims();
+    let (n, f, plane) = (d[0], d[1], d[2] * d[3]);
+    let mut mat = Tensor::zeros([n * plane, f]);
+    for b in 0..n {
+        for fi in 0..f {
+            for p in 0..plane {
+                mat.data_mut()[(b * plane + p) * f + fi] =
+                    grad_out.data()[(b * f + fi) * plane + p];
+            }
+        }
+    }
+    mat
+}
+
+/// Folds `cols: [N·H'·W', C·K·K]` into `[N, C, H, W]`, each element summed
+/// from 0 in ascending position order (the col2im scatter).
+fn col2im(
+    cols: &Tensor,
+    (n, c, h, w): (usize, usize, usize, usize),
+    k: usize,
+    pad: usize,
+) -> Tensor {
+    let ho = conv::conv_out_extent(h, k, pad);
+    let wo = conv::conv_out_extent(w, k, pad);
+    let mut out = Tensor::zeros([n, c, h, w]);
+    for b in 0..n {
+        for oh in 0..ho {
+            for ow in 0..wo {
+                let row = ((b * ho + oh) * wo + ow) * c * k * k;
+                for ci in 0..c {
+                    for kh in 0..k {
+                        for kw in 0..k {
+                            let ih = (oh + kh) as isize - pad as isize;
+                            let iw = (ow + kw) as isize - pad as isize;
+                            if (0..h as isize).contains(&ih) && (0..w as isize).contains(&iw) {
+                                let at = ((b * c + ci) * h + ih as usize) * w + iw as usize;
+                                out.data_mut()[at] += cols.data()[row + (ci * k + kh) * k + kw];
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+    out
+}
+
+/// The pre-fusion input gradient: `grad_out_to_mat`, `matmul_into` against
+/// the `[F, C·K·K]` weight view, col2im.
+fn conv_backward_input_unfused(
+    grad_out: &Tensor,
+    weight: &Tensor,
+    h: usize,
+    w: usize,
+    pad: usize,
+) -> Tensor {
+    let (n, f) = (grad_out.shape().dim(0), weight.shape().dim(0));
+    let (c, k) = (weight.shape().dim(1), weight.shape().dim(2));
+    let gmat = grad_out_to_mat(grad_out);
+    let mut cols = Tensor::zeros([gmat.shape().dim(0), c * k * k]);
+    ops::matmul_into(
+        &gmat,
+        ops::MatRef::reshaped(weight, f, c * k * k),
+        &mut cols,
+    );
+    col2im(&cols, (n, c, h, w), k, pad)
+}
+
+/// The pre-fusion weight gradient: `im2col_into`, `grad_out_to_mat`, then
+/// `matmul_tn_into` (the gradient matrix transposed times the patches).
+fn conv_backward_weight_unfused(grad_out: &Tensor, input: &Tensor, k: usize, pad: usize) -> Tensor {
+    let d = input.shape().dims();
+    let (c, f) = (d[1], grad_out.shape().dim(1));
+    let gmat = grad_out_to_mat(grad_out);
+    let mut cols = Tensor::zeros([gmat.shape().dim(0), c * k * k]);
+    im2col::im2col_into(input, k, pad, &mut cols);
+    let mut gw = Tensor::zeros([f, c * k * k]);
+    ops::matmul_tn_into(&gmat, &cols, &mut gw);
+    gw.reshape([f, c, k, k])
+}
+
+/// Runs `f` inside a fresh rayon pool of `threads` workers.
+fn in_pool<T: Send>(threads: usize, f: impl FnOnce() -> T + Send) -> T {
+    rayon::ThreadPoolBuilder::new()
+        .num_threads(threads)
+        .build()
+        .unwrap()
+        .install(f)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Fused backward == unfused compositions, bit for bit, for both
+    /// gradients: filter counts and tap counts straddling MR, position
+    /// counts straddling NR, planes smaller than one panel, every kernel
+    /// size with and without padding — on a warm workspace whose every
+    /// pooled float is NaN, and on one and on two threads.
+    #[test]
+    fn conv_fused_backward_bit_identical_to_unfused(
+        n in 1usize..10,
+        c in 1usize..21,
+        f in 1usize..36,
+        hw in 1usize..10,
+        k_idx in 0usize..3,
+        pad_same in proptest::bool::ANY,
+        seed in 0u64..1_000_000,
+    ) {
+        let k = [1usize, 3, 5][k_idx];
+        let pad = if pad_same { k / 2 } else { 0 };
+        prop_assume!(hw + 2 * pad >= k);
+        let (ho, wo) = (conv::conv_out_extent(hw, k, pad), conv::conv_out_extent(hw, k, pad));
+        let input = randn(vec![n, c, hw, hw], seed);
+        let weight = randn(vec![f, c, k, k], seed + 1);
+        let grad_out = randn(vec![n, f, ho, wo], seed + 2);
+        let want_gin = bits(&conv_backward_input_unfused(&grad_out, &weight, hw, hw, pad));
+        let want_gw = bits(&conv_backward_weight_unfused(&grad_out, &input, k, pad));
+        for threads in [1, 2] {
+            let mut ws = Workspace::new();
+            for _ in 0..2 {
+                poison(&mut ws);
+                let (gin, (gw, gb)) = in_pool(threads, || {
+                    let gin = im2col::conv2d_backward_input_im2col_ws(&grad_out, &weight, hw, hw, pad, &mut ws);
+                    (gin, im2col::conv2d_backward_params_im2col_ws(&grad_out, &input, k, pad, &mut ws))
+                });
+                prop_assert_eq!(bits(&gin), want_gin.clone(), "input gradient, {} threads", threads);
+                prop_assert_eq!(bits(&gw), want_gw.clone(), "weight gradient, {} threads", threads);
+                for t in [gin, gw, gb] {
+                    ws.release(t);
+                }
+            }
+        }
+    }
+}
+
+/// Scalar and AVX2 dispatch agree bitwise through both fused backward
+/// passes on shapes with partial tap tiles, partial filter tiles and
+/// partial panels.
+#[test]
+fn conv_fused_backward_backends_bitwise_identical() {
+    use mn_tensor::simd::{self, Backend};
+    if !simd::avx2_available() {
+        eprintln!("skipping: AVX2+FMA not available on this CPU");
+        return;
+    }
+    for &(n, c, f, hw, k) in &[(3, 5, 13, 7, 3), (9, 20, 35, 2, 3), (2, 3, 4, 9, 5)] {
+        let input = randn(vec![n, c, hw, hw], 50);
+        let weight = randn(vec![f, c, k, k], 51);
+        let grad_out = randn(vec![n, f, hw, hw], 52);
+        let pass = || {
+            let gin = im2col::conv2d_backward_input_im2col(&grad_out, &weight, hw, hw, k / 2);
+            let (gw, _) = im2col::conv2d_backward_params_im2col(&grad_out, &input, k, k / 2);
+            (bits(&gin), bits(&gw))
+        };
+        let scalar = simd::with_backend(Backend::Scalar, pass);
+        let avx2 = simd::with_backend(Backend::Avx2, pass);
+        assert_eq!(scalar, avx2, "plane {hw}x{hw}, k {k}");
+    }
+}
+
+/// Large enough to fan out (both passes cross the parallel threshold): one
+/// thread and four give the bits of the unfused compositions.
+#[test]
+fn conv_fused_backward_bitwise_identical_across_thread_counts() {
+    for &(n, c, f, hw) in &[(96, 8, 16, 8), (13, 24, 40, 7), (70, 16, 48, 3)] {
+        let input = randn(vec![n, c, hw, hw], 40);
+        let weight = randn(vec![f, c, 3, 3], 41);
+        let grad_out = randn(vec![n, f, hw, hw], 42);
+        let want_gin = bits(&conv_backward_input_unfused(&grad_out, &weight, hw, hw, 1));
+        let want_gw = bits(&conv_backward_weight_unfused(&grad_out, &input, 3, 1));
+        for threads in [1, 4] {
+            let (gin, (gw, _)) = in_pool(threads, || {
+                (
+                    im2col::conv2d_backward_input_im2col(&grad_out, &weight, hw, hw, 1),
+                    im2col::conv2d_backward_params_im2col(&grad_out, &input, 3, 1),
+                )
+            });
+            assert_eq!(
+                bits(&gin),
+                want_gin,
+                "input gradient, n {n}, {threads} threads"
+            );
+            assert_eq!(
+                bits(&gw),
+                want_gw,
+                "weight gradient, n {n}, {threads} threads"
+            );
+        }
+    }
+}
