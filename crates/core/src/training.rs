@@ -1,6 +1,7 @@
-//! End-to-end ensemble training: MotherNets and the paper's two baselines.
+//! End-to-end ensemble training: MotherNets and its comparators.
 //!
-//! The three strategies of the evaluation (§3):
+//! The four strategies of the evaluation (§3) and of the related-work
+//! comparison (§4):
 //!
 //! * [`Strategy::FullData`] — every member trained from scratch on the full
 //!   training split;
@@ -9,11 +10,27 @@
 //! * [`Strategy::MotherNets`] — cluster the ensemble (§2.3), train each
 //!   cluster's MotherNet once on the full data (low bias), hatch every
 //!   member by function-preserving transformations, then fine-tune each
-//!   member on a bootstrap resample (diversity / low variance).
+//!   member on a bootstrap resample (diversity / low variance);
+//! * [`Strategy::Snapshot`] — one network of the ensemble's largest
+//!   architecture trained through cyclic cosine annealing, one member
+//!   snapshotted per cycle.
 //!
 //! All strategies use the **same convergence criterion** (validation-loss
 //! patience), as the paper requires; the MotherNets speedup *is* the
 //! reduction in epochs-to-convergence of hatched members.
+//!
+//! Every strategy is a list of training jobs run by one runner. A job
+//! names the network it produces (a MotherNet or a member, with its
+//! cluster), how that network starts (freshly seeded, hatched from a
+//! trained MotherNet, or continued from the previous job), what it trains
+//! on (the training split, or a bootstrap resample drawn inside the job)
+//! and its fully resolved training configuration. The baselines are one
+//! phase of seeded jobs; MotherNets is a phase of MotherNets followed by
+//! a phase of hatched members; snapshot is one seeded job and a chain of
+//! continued ones; [`TrainedEnsemble::hatch_additional`] is one hatch job
+//! over the stored MotherNets. The runner runs the phases in order and a
+//! phase's jobs in member order, so seeding, hatching, resampling and
+//! training each happen in one place for every strategy.
 //!
 //! Timing: every record carries wall-clock seconds and a deterministic cost
 //! counter. Total ensemble training time is reported **two ways**:
@@ -21,13 +38,13 @@
 //! (sequential-equivalent compute — what the paper's Figures 5b–9b plot),
 //! while [`TrainedEnsemble::wall_clock_secs`] is the elapsed time of the
 //! whole strategy run, which drops below the sequential-equivalent figure
-//! when members train in parallel ([`EnsembleTrainConfig::parallel`]).
+//! when jobs train in parallel ([`EnsembleTrainConfig::parallel`]).
 //!
-//! Parallel member training composes with the parallel tensor kernels
-//! without oversubscription: each member job owns a private [`Workspace`]
-//! (no shared scratch, no locks), and the vendored rayon shim runs nested
-//! pipelines inline on its workers, so a machine-wide member fan-out
-//! never multiplies into a kernel-level spawn storm.
+//! Parallel training composes with the parallel tensor kernels without
+//! oversubscription: each chain of jobs owns a private [`Workspace`] (no
+//! shared scratch, no locks), and the vendored rayon shim runs nested
+//! pipelines inline on its workers, so a machine-wide job fan-out never
+//! multiplies into a kernel-level spawn storm.
 
 use std::time::Instant;
 
@@ -159,8 +176,10 @@ pub struct EnsembleTrainConfig {
     pub val_fraction: f64,
     /// Master seed; all member seeds derive from it.
     pub seed: u64,
-    /// Train members of a strategy in parallel with rayon. Does not affect
-    /// reported (sequential-equivalent) training time.
+    /// Train the jobs of each phase in parallel with rayon: the MotherNets
+    /// of a MotherNets run as well as the members (a snapshot chain stays
+    /// serial). Does not affect the trained bits or the reported
+    /// (sequential-equivalent) training time.
     pub parallel: bool,
 }
 
@@ -256,29 +275,133 @@ fn derive_seed(master: u64, salt: u64, index: usize) -> u64 {
     z ^ (z >> 31)
 }
 
-fn check_data(archs: &[Architecture], data: &Dataset) -> Result<(), MotherNetsError> {
-    let (c, h, w) = data.geometry();
+/// The one input check of [`train_ensemble`] and
+/// [`TrainedEnsemble::hatch_additional`]: everything the jobs rely on is
+/// checked before any of them runs, so a bad input is a typed error rather
+/// than a panic (under [`EnsembleTrainConfig::parallel`], inside a worker).
+fn check_inputs(
+    archs: &[Architecture],
+    train_set: &Dataset,
+    strategy: &Strategy,
+    cfg: &EnsembleTrainConfig,
+) -> Result<(), MotherNetsError> {
+    if archs.is_empty() {
+        return Err(MotherNetsError::EmptyEnsemble);
+    }
+    let mismatch = |reason: String| Err(MotherNetsError::DataMismatch { reason });
+    let (c, h, w) = train_set.geometry();
     for a in archs {
+        a.validate()?;
         if (a.input.channels, a.input.height, a.input.width) != (c, h, w) {
-            return Err(MotherNetsError::DataMismatch {
-                reason: format!(
-                    "{} expects {}x{}x{} input, data is {c}x{h}x{w}",
-                    a.name, a.input.channels, a.input.height, a.input.width
-                ),
-            });
+            return mismatch(format!(
+                "{} expects {}x{}x{} input, data is {c}x{h}x{w}",
+                a.name, a.input.channels, a.input.height, a.input.width
+            ));
         }
-        if a.num_classes != data.num_classes() {
-            return Err(MotherNetsError::DataMismatch {
-                reason: format!(
-                    "{} has {} classes, data has {}",
-                    a.name,
-                    a.num_classes,
-                    data.num_classes()
-                ),
-            });
+        if a.num_classes != train_set.num_classes() {
+            return mismatch(format!(
+                "{} has {} classes, data has {}",
+                a.name,
+                a.num_classes,
+                train_set.num_classes()
+            ));
         }
     }
+    if train_set.len() < 2 {
+        return mismatch(format!(
+            "{} training examples; a validation split needs at least 2",
+            train_set.len()
+        ));
+    }
+    let invalid = |what: &str, value: f64| {
+        Err(MotherNetsError::InvalidParameter {
+            what: what.into(),
+            value,
+        })
+    };
+    if !(cfg.val_fraction > 0.0 && cfg.val_fraction < 1.0) {
+        return invalid("val_fraction", cfg.val_fraction);
+    }
+    if cfg.train.batch_size == 0 {
+        return invalid("batch_size", 0.0);
+    }
+    // Snapshot cycles replace `max_epochs` with `cycle_epochs`.
+    let (what, epochs) = match strategy {
+        Strategy::Snapshot(s) => ("cycle_epochs", s.cycle_epochs),
+        _ => ("max_epochs", cfg.train.max_epochs),
+    };
+    if epochs == 0 {
+        return invalid(what, 0.0);
+    }
     Ok(())
+}
+
+/// How a job's network starts.
+enum Init {
+    /// A freshly initialized network from this seed.
+    Seeded(u64),
+    /// Hatched from the trained MotherNet of cluster `mother`.
+    Hatch {
+        mother: usize,
+        noise: f32,
+        seed: u64,
+    },
+    /// The network the previous job of the chain trained (which stays that
+    /// job's result; training goes on from a copy).
+    Continue,
+}
+
+/// What a job trains on.
+enum Data {
+    /// The training split itself (borrowed, never copied).
+    Full,
+    /// A bootstrap resample of the training split with this seed, drawn
+    /// inside the job.
+    Bag(u64),
+}
+
+/// One network to produce: a MotherNet or an ensemble member.
+struct Job<'a> {
+    name: String,
+    arch: &'a Architecture,
+    phase: Phase,
+    cluster: Option<usize>,
+    init: Init,
+    data: Data,
+    /// The fully resolved training configuration; `None` skips training
+    /// ([`MemberTraining::None`]).
+    train: Option<TrainConfig>,
+}
+
+/// The job of hatched member `i` (MotherNet `g`): shared by
+/// [`train_ensemble`] and [`TrainedEnsemble::hatch_additional`].
+fn hatch_job<'a>(
+    arch: &'a Architecture,
+    i: usize,
+    g: usize,
+    mcfg: &MotherNetsStrategy,
+    cfg: &EnsembleTrainConfig,
+) -> Job<'a> {
+    let mut train = cfg.train.clone().with_seed(derive_seed(cfg.seed, 7, i));
+    train.lr *= mcfg.member_lr_scale;
+    let (data, train) = match mcfg.member_training {
+        MemberTraining::Bagging => (Data::Bag(derive_seed(cfg.seed, 8, i)), Some(train)),
+        MemberTraining::FullData => (Data::Full, Some(train)),
+        MemberTraining::None => (Data::Full, None),
+    };
+    Job {
+        name: arch.name.clone(),
+        arch,
+        phase: Phase::Member,
+        cluster: Some(g),
+        init: Init::Hatch {
+            mother: g,
+            noise: mcfg.hatch_noise,
+            seed: derive_seed(cfg.seed, 6, i),
+        },
+        data,
+        train,
+    }
 }
 
 /// Trains an ensemble of architectures on `train_set` with the given
@@ -294,294 +417,161 @@ pub fn train_ensemble(
     strategy: &Strategy,
     cfg: &EnsembleTrainConfig,
 ) -> Result<TrainedEnsemble, MotherNetsError> {
-    if archs.is_empty() {
-        return Err(MotherNetsError::EmptyEnsemble);
-    }
-    for a in archs {
-        a.validate()?;
-    }
-    check_data(archs, train_set)?;
-    if !(cfg.val_fraction > 0.0 && cfg.val_fraction < 1.0) {
-        return Err(MotherNetsError::InvalidParameter {
-            what: "val_fraction".into(),
-            value: cfg.val_fraction,
-        });
-    }
-
+    check_inputs(archs, train_set, strategy, cfg)?;
     let run_start = Instant::now();
     let (train_core, val) = train_val_split(train_set, cfg.val_fraction, cfg.seed);
+    let seed = |salt, index| derive_seed(cfg.seed, salt, index);
 
-    match strategy {
-        Strategy::FullData => {
-            let jobs: Vec<(usize, &Architecture)> = archs.iter().enumerate().collect();
-            let results = run_members(&jobs, cfg, |i, arch, tcfg, ws| {
-                let mut net = Network::seeded(arch, derive_seed(cfg.seed, 1, i));
-                let report = train_with(
-                    &mut net,
-                    train_core.images(),
-                    train_core.labels(),
-                    val.images(),
-                    val.labels(),
-                    &tcfg,
-                    ws,
-                );
-                (net, report)
-            });
-            Ok(assemble(
-                archs,
-                results,
-                Vec::new(),
-                Vec::new(),
-                None,
-                run_start,
-                strategy.label(),
-            ))
+    let mut clustering = None;
+    let jobs: Vec<Job> = match strategy {
+        Strategy::FullData | Strategy::Bagging => {
+            let bagging = matches!(strategy, Strategy::Bagging);
+            archs
+                .iter()
+                .enumerate()
+                .map(|(i, arch)| Job {
+                    name: arch.name.clone(),
+                    arch,
+                    phase: Phase::Member,
+                    cluster: None,
+                    init: Init::Seeded(seed(if bagging { 3 } else { 1 }, i)),
+                    data: if bagging {
+                        Data::Bag(seed(2, i))
+                    } else {
+                        Data::Full
+                    },
+                    train: Some(cfg.train.clone().with_seed(seed(10, i))),
+                })
+                .collect()
         }
-        Strategy::Bagging => {
-            let jobs: Vec<(usize, &Architecture)> = archs.iter().enumerate().collect();
-            let results = run_members(&jobs, cfg, |i, arch, tcfg, ws| {
-                let bagged = bag_seeded(&train_core, derive_seed(cfg.seed, 2, i));
-                let mut net = Network::seeded(arch, derive_seed(cfg.seed, 3, i));
-                let report = train_with(
-                    &mut net,
-                    bagged.images(),
-                    bagged.labels(),
-                    val.images(),
-                    val.labels(),
-                    &tcfg,
-                    ws,
-                );
-                (net, report)
-            });
-            Ok(assemble(
-                archs,
-                results,
-                Vec::new(),
-                Vec::new(),
-                None,
-                run_start,
-                strategy.label(),
-            ))
-        }
+        // One training run of the ensemble's largest architecture; every
+        // cosine cycle contributes one snapshot member.
         Strategy::Snapshot(scfg) => {
-            if scfg.cycle_epochs == 0 {
-                return Err(MotherNetsError::InvalidParameter {
-                    what: "cycle_epochs".into(),
-                    value: 0.0,
-                });
-            }
-            // One training run of the ensemble's largest architecture;
-            // every cosine cycle contributes one snapshot member.
             let base = archs
                 .iter()
                 .max_by_key(|a| a.param_count())
                 .expect("non-empty ensemble");
-            let mut net = Network::seeded(base, derive_seed(cfg.seed, 20, 0));
-            let mut members = Vec::with_capacity(archs.len());
-            let mut member_records = Vec::with_capacity(archs.len());
-            // One training run, one workspace: every cycle reuses the pool.
-            let mut ws = Workspace::new();
-            for c in 0..archs.len() {
-                let cycle_cfg = TrainConfig {
-                    max_epochs: scfg.cycle_epochs,
-                    // Never stop inside a cycle: snapshots are taken at
-                    // cycle minima, not at convergence.
-                    patience: usize::MAX,
-                    schedule: LrSchedule::Cosine {
-                        period: scfg.cycle_epochs,
-                        min_factor: scfg.min_lr_factor,
+            (0..archs.len())
+                .map(|c| Job {
+                    name: format!("snapshot-{}-{}", c, base.name),
+                    arch: base,
+                    phase: Phase::Member,
+                    cluster: None,
+                    init: if c == 0 {
+                        Init::Seeded(seed(20, 0))
+                    } else {
+                        Init::Continue
                     },
-                    shuffle_seed: derive_seed(cfg.seed, 21, c),
-                    ..cfg.train.clone()
-                };
-                let report = train_with(
-                    &mut net,
-                    train_core.images(),
-                    train_core.labels(),
-                    val.images(),
-                    val.labels(),
-                    &cycle_cfg,
-                    &mut ws,
-                );
-                let name = format!("snapshot-{}-{}", c, base.name);
-                member_records.push(MemberRecord::from_report(
-                    &name,
-                    Phase::Member,
-                    None,
-                    &report,
-                ));
-                let mut snapshot = net.clone();
-                snapshot.clear_caches();
-                members.push(EnsembleMember::new(name, snapshot));
-            }
-            Ok(TrainedEnsemble {
-                members,
-                mother_records: Vec::new(),
-                member_records,
-                mothernets: Vec::new(),
-                clustering: None,
-                wall_clock_secs: run_start.elapsed().as_secs_f64(),
-                strategy_label: strategy.label().to_string(),
-            })
+                    data: Data::Full,
+                    train: Some(TrainConfig {
+                        max_epochs: scfg.cycle_epochs,
+                        // Never stop inside a cycle: snapshots are taken
+                        // at cycle minima, not at convergence.
+                        patience: usize::MAX,
+                        schedule: LrSchedule::Cosine {
+                            period: scfg.cycle_epochs,
+                            min_factor: scfg.min_lr_factor,
+                        },
+                        shuffle_seed: seed(21, c),
+                        ..cfg.train.clone()
+                    }),
+                })
+                .collect()
         }
+        // Each cluster's MotherNet on the full training split, then every
+        // member hatched from its cluster's MotherNet.
         Strategy::MotherNets(mcfg) => {
-            let clustering = cluster_architectures(archs, mcfg.tau)?;
-            let mut mothernets: Vec<(Architecture, Network)> = Vec::new();
-            let mut mother_records: Vec<MemberRecord> = Vec::new();
+            let clustering = clustering.insert(cluster_architectures(archs, mcfg.tau)?);
+            let mothers = clustering
+                .clusters
+                .iter()
+                .enumerate()
+                .map(|(g, cluster)| Job {
+                    name: cluster.mothernet.name.clone(),
+                    arch: &cluster.mothernet,
+                    phase: Phase::Mother,
+                    cluster: Some(g),
+                    init: Init::Seeded(seed(4, g)),
+                    data: Data::Full,
+                    train: Some(cfg.train.clone().with_seed(seed(5, g))),
+                });
+            let members = archs
+                .iter()
+                .enumerate()
+                .map(|(i, arch)| hatch_job(arch, i, clustering.cluster_of(i), mcfg, cfg));
+            mothers.chain(members).collect()
+        }
+    };
 
-            // Train each cluster's MotherNet on the full training split
-            // (one retained workspace across the cluster loop).
-            let mut mother_ws = Workspace::new();
-            for (g, cluster) in clustering.clusters.iter().enumerate() {
-                let mut net = Network::seeded(&cluster.mothernet, derive_seed(cfg.seed, 4, g));
-                let tcfg = cfg.train.clone().with_seed(derive_seed(cfg.seed, 5, g));
-                let report = train_with(
+    let mut trained = TrainedEnsemble {
+        members: Vec::with_capacity(archs.len()),
+        mother_records: Vec::new(),
+        member_records: Vec::with_capacity(archs.len()),
+        mothernets: Vec::new(),
+        clustering: None,
+        wall_clock_secs: 0.0,
+        strategy_label: strategy.label().to_string(),
+    };
+    trained.run_jobs(&jobs, &train_core, &val, cfg.parallel)?;
+    trained.clustering = clustering;
+    trained.wall_clock_secs = run_start.elapsed().as_secs_f64();
+    Ok(trained)
+}
+
+/// Runs one chain — a job and the [`Init::Continue`] jobs after it — in
+/// order on one private [`Workspace`]: per-worker scratch that keeps
+/// parallel training lock-free and lets each chain reach its
+/// zero-allocation steady state independently. `mothers` are the trained
+/// MotherNets that [`Init::Hatch`] refers to.
+fn run_chain(
+    chain: &[Job<'_>],
+    mothers: &[(Architecture, Network)],
+    train_core: &Dataset,
+    val: &Dataset,
+) -> Result<Vec<(Network, TrainReport)>, MotherNetsError> {
+    let mut ws = Workspace::new();
+    let mut done: Vec<(Network, TrainReport)> = Vec::with_capacity(chain.len());
+    for job in chain {
+        let mut net = match job.init {
+            Init::Seeded(seed) => Network::seeded(job.arch, seed),
+            Init::Hatch {
+                mother,
+                noise,
+                seed,
+            } => {
+                let opts = MorphOptions::with_noise(noise, seed);
+                hatch_with_report(&mothers[mother].1, job.arch, &opts)?.0
+            }
+            Init::Continue => done
+                .last()
+                .map(|(net, _)| net.clone())
+                .expect("a chain starts with a job that makes its network"),
+        };
+        let report = match &job.train {
+            Some(tcfg) => {
+                let bagged;
+                let data = match job.data {
+                    Data::Full => train_core,
+                    Data::Bag(seed) => {
+                        bagged = bag_seeded(train_core, seed);
+                        &bagged
+                    }
+                };
+                train_with(
                     &mut net,
-                    train_core.images(),
-                    train_core.labels(),
+                    data.images(),
+                    data.labels(),
                     val.images(),
                     val.labels(),
-                    &tcfg,
-                    &mut mother_ws,
-                );
-                mother_records.push(MemberRecord::from_report(
-                    &cluster.mothernet.name,
-                    Phase::Mother,
-                    Some(g),
-                    &report,
-                ));
-                mothernets.push((cluster.mothernet.clone(), net));
+                    tcfg,
+                    &mut ws,
+                )
             }
-
-            // Hatch and fine-tune every member.
-            let jobs: Vec<(usize, &Architecture)> = archs.iter().enumerate().collect();
-            let clustering_ref = &clustering;
-            let mothernets_ref = &mothernets;
-            let results: Vec<(Network, TrainReport, usize)> = {
-                // Each member job owns a private workspace: parallel
-                // hatched-member training composes with the parallel
-                // kernels (which run inline on fan-out workers) without
-                // shared scratch or oversubscription.
-                let work = |&(i, arch): &(usize, &Architecture)| {
-                    let mut ws = Workspace::new();
-                    let g = clustering_ref.cluster_of(i);
-                    let mother = &mothernets_ref[g].1;
-                    let opts =
-                        MorphOptions::with_noise(mcfg.hatch_noise, derive_seed(cfg.seed, 6, i));
-                    let (mut net, _report) = hatch_with_report(mother, arch, &opts)
-                        .expect("clustering guarantees hatchability");
-                    let mut tcfg = cfg.train.clone().with_seed(derive_seed(cfg.seed, 7, i));
-                    tcfg.lr *= mcfg.member_lr_scale;
-                    let report = match mcfg.member_training {
-                        MemberTraining::Bagging => {
-                            let bagged = bag_seeded(&train_core, derive_seed(cfg.seed, 8, i));
-                            train_with(
-                                &mut net,
-                                bagged.images(),
-                                bagged.labels(),
-                                val.images(),
-                                val.labels(),
-                                &tcfg,
-                                &mut ws,
-                            )
-                        }
-                        MemberTraining::FullData => train_with(
-                            &mut net,
-                            train_core.images(),
-                            train_core.labels(),
-                            val.images(),
-                            val.labels(),
-                            &tcfg,
-                            &mut ws,
-                        ),
-                        MemberTraining::None => zero_report(&mut net, &val),
-                    };
-                    (net, report, g)
-                };
-                if cfg.parallel {
-                    jobs.par_iter().map(work).collect()
-                } else {
-                    jobs.iter().map(work).collect()
-                }
-            };
-
-            let mut members = Vec::with_capacity(archs.len());
-            let mut member_records = Vec::with_capacity(archs.len());
-            for ((arch, (net, report, g)), _i) in archs.iter().zip(results).zip(0..archs.len()) {
-                member_records.push(MemberRecord::from_report(
-                    &arch.name,
-                    Phase::Member,
-                    Some(g),
-                    &report,
-                ));
-                members.push(EnsembleMember::new(arch.name.clone(), net));
-            }
-            Ok(TrainedEnsemble {
-                members,
-                mother_records,
-                member_records,
-                mothernets,
-                clustering: Some(clustering),
-                wall_clock_secs: run_start.elapsed().as_secs_f64(),
-                strategy_label: strategy.label().to_string(),
-            })
-        }
+            None => zero_report(&mut net, val),
+        };
+        done.push((net, report));
     }
-}
-
-/// Runs the per-member closure, optionally in parallel, preserving order.
-/// Every job receives its own private [`Workspace`] — per-worker scratch
-/// that keeps parallel member training lock-free and lets each training
-/// run reach its zero-allocation steady state independently.
-fn run_members<F>(
-    jobs: &[(usize, &Architecture)],
-    cfg: &EnsembleTrainConfig,
-    work: F,
-) -> Vec<(Network, TrainReport)>
-where
-    F: Fn(usize, &Architecture, TrainConfig, &mut Workspace) -> (Network, TrainReport) + Sync,
-{
-    let run = |&(i, arch): &(usize, &Architecture)| {
-        let tcfg = cfg.train.clone().with_seed(derive_seed(cfg.seed, 10, i));
-        let mut ws = Workspace::new();
-        work(i, arch, tcfg, &mut ws)
-    };
-    if cfg.parallel {
-        jobs.par_iter().map(run).collect()
-    } else {
-        jobs.iter().map(run).collect()
-    }
-}
-
-fn assemble(
-    archs: &[Architecture],
-    results: Vec<(Network, TrainReport)>,
-    mother_records: Vec<MemberRecord>,
-    mothernets: Vec<(Architecture, Network)>,
-    clustering: Option<Clustering>,
-    run_start: Instant,
-    strategy_label: &str,
-) -> TrainedEnsemble {
-    let mut members = Vec::with_capacity(archs.len());
-    let mut member_records = Vec::with_capacity(archs.len());
-    for (arch, (net, report)) in archs.iter().zip(results) {
-        member_records.push(MemberRecord::from_report(
-            &arch.name,
-            Phase::Member,
-            None,
-            &report,
-        ));
-        members.push(EnsembleMember::new(arch.name.clone(), net));
-    }
-    TrainedEnsemble {
-        members,
-        mother_records,
-        member_records,
-        mothernets,
-        clustering,
-        wall_clock_secs: run_start.elapsed().as_secs_f64(),
-        strategy_label: strategy_label.to_string(),
-    }
+    Ok(done)
 }
 
 /// A report for the "no member training" ablation: zero cost, evaluated
@@ -599,6 +589,47 @@ fn zero_report(net: &mut Network, val: &Dataset) -> TrainReport {
 }
 
 impl TrainedEnsemble {
+    /// The job runner. Runs `jobs` one phase (a run of jobs of equal
+    /// [`Phase`]) after the other and appends every job's network and
+    /// record in job order: MotherNets to `mothernets`, members to
+    /// `members`. Within a phase the chains (see [`run_chain`]) run in
+    /// parallel when `parallel` is set; a phase's results land only once
+    /// all of its chains succeed.
+    fn run_jobs(
+        &mut self,
+        jobs: &[Job<'_>],
+        train_core: &Dataset,
+        val: &Dataset,
+        parallel: bool,
+    ) -> Result<(), MotherNetsError> {
+        for phase in jobs.chunk_by(|a, b| a.phase == b.phase) {
+            let chains: Vec<&[Job]> = phase
+                .chunk_by(|_, next| matches!(next.init, Init::Continue))
+                .collect();
+            let mothers = &self.mothernets;
+            let run = |chain: &&[Job]| run_chain(chain, mothers, train_core, val);
+            let results: Result<Vec<_>, MotherNetsError> = if parallel {
+                chains.par_iter().map(run).collect()
+            } else {
+                chains.iter().map(run).collect()
+            };
+            for (job, (net, report)) in phase.iter().zip(results?.into_iter().flatten()) {
+                let record = MemberRecord::from_report(&job.name, job.phase, job.cluster, &report);
+                match job.phase {
+                    Phase::Mother => {
+                        self.mother_records.push(record);
+                        self.mothernets.push((job.arch.clone(), net));
+                    }
+                    Phase::Member => {
+                        self.member_records.push(record);
+                        self.members
+                            .push(EnsembleMember::new(job.name.clone(), net));
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
     /// The manifest recorded in this ensemble's serving artifact: the
     /// paper's default combination rule (ensemble averaging) plus the
     /// training strategy that produced the members.
@@ -763,7 +794,9 @@ impl TrainedEnsemble {
     /// # Errors
     ///
     /// Returns [`MotherNetsError::IncompatibleMembers`] if no stored
-    /// MotherNet can hatch `arch` under the strategy's τ.
+    /// MotherNet can hatch `arch` under the strategy's τ, and the errors of
+    /// [`train_ensemble`] for a bad architecture, data set or
+    /// configuration.
     pub fn hatch_additional(
         &mut self,
         arch: &Architecture,
@@ -771,62 +804,28 @@ impl TrainedEnsemble {
         strategy: &MotherNetsStrategy,
         cfg: &EnsembleTrainConfig,
     ) -> Result<(), MotherNetsError> {
-        arch.validate()?;
-        check_data(std::slice::from_ref(arch), train_set)?;
-        let index = self.members.len();
-        let (g, mother) = self
+        check_inputs(
+            std::slice::from_ref(arch),
+            train_set,
+            &Strategy::MotherNets(*strategy),
+            cfg,
+        )?;
+        let g = self
             .mothernets
             .iter()
-            .enumerate()
-            .find(|(_, (m_arch, _))| {
+            .position(|(m_arch, _)| {
                 mn_morph::check_compatible(m_arch, arch).is_ok()
                     && crate::cluster::satisfies_condition(arch, m_arch, strategy.tau)
             })
-            .map(|(g, (_, net))| (g, net))
             .ok_or_else(|| MotherNetsError::IncompatibleMembers {
                 reason: format!("no stored MotherNet can hatch {}", arch.name),
             })?;
 
-        let hatch_start = Instant::now();
-        let opts = MorphOptions::with_noise(strategy.hatch_noise, derive_seed(cfg.seed, 6, index));
-        let (mut net, _) = hatch_with_report(mother, arch, &opts)?;
+        let start = Instant::now();
         let (train_core, val) = train_val_split(train_set, cfg.val_fraction, cfg.seed);
-        let mut tcfg = cfg.train.clone().with_seed(derive_seed(cfg.seed, 7, index));
-        tcfg.lr *= strategy.member_lr_scale;
-        let mut ws = Workspace::new();
-        let report = match strategy.member_training {
-            MemberTraining::Bagging => {
-                let bagged = bag_seeded(&train_core, derive_seed(cfg.seed, 8, index));
-                train_with(
-                    &mut net,
-                    bagged.images(),
-                    bagged.labels(),
-                    val.images(),
-                    val.labels(),
-                    &tcfg,
-                    &mut ws,
-                )
-            }
-            MemberTraining::FullData => train_with(
-                &mut net,
-                train_core.images(),
-                train_core.labels(),
-                val.images(),
-                val.labels(),
-                &tcfg,
-                &mut ws,
-            ),
-            MemberTraining::None => zero_report(&mut net, &val),
-        };
-        self.member_records.push(MemberRecord::from_report(
-            &arch.name,
-            Phase::Member,
-            Some(g),
-            &report,
-        ));
-        self.members
-            .push(EnsembleMember::new(arch.name.clone(), net));
-        self.wall_clock_secs += hatch_start.elapsed().as_secs_f64();
+        let job = hatch_job(arch, self.members.len(), g, strategy, cfg);
+        self.run_jobs(&[job], &train_core, &val, cfg.parallel)?;
+        self.wall_clock_secs += start.elapsed().as_secs_f64();
         Ok(())
     }
 }
@@ -1077,5 +1076,63 @@ mod tests {
         for (ra, rb) in seq.member_records.iter().zip(&par.member_records) {
             assert_eq!(ra.final_val_error, rb.final_val_error);
         }
+    }
+
+    #[test]
+    fn parallel_matches_sequential_for_every_strategy() {
+        let task = cifar10_sim(Scale::Tiny, 8);
+        let seq_cfg = fast_cfg();
+        let par_cfg = EnsembleTrainConfig {
+            parallel: true,
+            ..fast_cfg()
+        };
+        // Every record field but `wall_secs`.
+        let fields = |r: &MemberRecord| {
+            (
+                r.name.clone(),
+                r.phase,
+                r.cluster,
+                r.epochs,
+                r.gradient_steps,
+                r.cost_units.to_bits(),
+                r.final_val_error.to_bits(),
+                r.converged,
+            )
+        };
+        let one_mother_each = Strategy::MotherNets(MotherNetsStrategy {
+            tau: 1.0,
+            ..MotherNetsStrategy::default()
+        });
+        let snapshot = Strategy::Snapshot(SnapshotStrategy {
+            cycle_epochs: 1,
+            ..SnapshotStrategy::default()
+        });
+        let mut mothers = 0;
+        for strategy in [
+            Strategy::FullData,
+            Strategy::Bagging,
+            Strategy::mothernets(),
+            snapshot,
+            one_mother_each,
+        ] {
+            let seq = train_ensemble(&archs(), &task.train, &strategy, &seq_cfg).unwrap();
+            let par = train_ensemble(&archs(), &task.train, &strategy, &par_cfg).unwrap();
+            assert_eq!(
+                seq.to_artifact_bytes(),
+                par.to_artifact_bytes(),
+                "{strategy} members"
+            );
+            for (a, b) in [
+                (&seq.mother_records, &par.mother_records),
+                (&seq.member_records, &par.member_records),
+            ] {
+                let a: Vec<_> = a.iter().map(fields).collect();
+                let b: Vec<_> = b.iter().map(fields).collect();
+                assert_eq!(a, b, "{strategy} records");
+            }
+            mothers = par.mother_records.len();
+        }
+        // The last strategy trained one MotherNet per member, in parallel.
+        assert_eq!(mothers, 3);
     }
 }

@@ -180,8 +180,10 @@ fn fma(a: f32, b: f32, c: f32) -> f32 {
 }
 
 /// The portable-scalar register-tile micro-kernel:
-/// `acc[MR × NR] += Apanel · Bpanel` over the full depth `k`, both panels
-/// packed unit-stride (see module docs). This is the reference path the
+/// `acc[MR × NR] = Apanel · Bpanel` over the full depth `k`, both panels
+/// packed unit-stride (see module docs). `acc` is overwritten: every
+/// element's fused chain starts from 0, so a caller carrying sums across
+/// depth blocks adds them itself. This is the reference path the
 /// explicit-SIMD kernel in [`crate::simd`] is pinned bitwise against.
 // mn-lint: hot-path
 #[inline(always)]

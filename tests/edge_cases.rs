@@ -325,3 +325,98 @@ fn hatch_additional_rejects_incompatible_member() {
     // Members unchanged after failed growth.
     assert_eq!(trained.members.len(), 1);
 }
+
+/// Every input the validation split or `train_with` would panic on is a
+/// typed error from both training entry points, returned before any job
+/// runs (under `parallel`, the panic would fire inside a worker).
+#[test]
+fn bad_training_inputs_are_typed_errors_from_both_entry_points() {
+    let task = cifar10_sim(Scale::Tiny, 39);
+    let input = InputSpec::new(3, 8, 8);
+    let base = Architecture::mlp("base", input, 10, vec![12]);
+    let extra = Architecture::mlp("extra", input, 10, vec![16]);
+    let mcfg = MotherNetsStrategy::default();
+    let good = EnsembleTrainConfig {
+        train: TrainConfig {
+            max_epochs: 1,
+            ..TrainConfig::default()
+        },
+        parallel: true,
+        ..Default::default()
+    };
+    let archs = std::slice::from_ref(&base);
+    let mut trained =
+        train_ensemble(archs, &task.train, &Strategy::MotherNets(mcfg), &good).unwrap();
+
+    let with_train = |train: TrainConfig| EnsembleTrainConfig {
+        train,
+        ..good.clone()
+    };
+    let with_val = |val_fraction: f64| EnsembleTrainConfig {
+        val_fraction,
+        ..good.clone()
+    };
+    let bad = [
+        ("val_fraction", with_val(0.0)),
+        ("val_fraction", with_val(1.0)),
+        ("val_fraction", with_val(f64::NAN)),
+        (
+            "batch_size",
+            with_train(TrainConfig {
+                batch_size: 0,
+                ..good.train.clone()
+            }),
+        ),
+        (
+            "max_epochs",
+            with_train(TrainConfig {
+                max_epochs: 0,
+                ..good.train.clone()
+            }),
+        ),
+    ];
+    let is_invalid = |r: Result<_, MotherNetsError>, what: &str| matches!(r, Err(MotherNetsError::InvalidParameter { what: w, .. }) if w == what);
+    for (what, cfg) in &bad {
+        for strategy in [
+            Strategy::FullData,
+            Strategy::Bagging,
+            Strategy::MotherNets(mcfg),
+        ] {
+            let r = train_ensemble(archs, &task.train, &strategy, cfg).map(|_| ());
+            assert!(is_invalid(r, what), "{strategy}: {what}");
+        }
+        let r = trained.hatch_additional(&extra, &task.train, &mcfg, cfg);
+        assert!(is_invalid(r, what), "hatch_additional: {what}");
+    }
+
+    // Snapshot cycles replace `max_epochs`: `cycle_epochs` is checked
+    // instead.
+    let snapshot = |cycle_epochs| {
+        Strategy::Snapshot(SnapshotStrategy {
+            cycle_epochs,
+            ..SnapshotStrategy::default()
+        })
+    };
+    let r = train_ensemble(archs, &task.train, &snapshot(0), &good).map(|_| ());
+    assert!(is_invalid(r, "cycle_epochs"));
+    assert!(train_ensemble(archs, &task.train, &snapshot(1), &bad[4].1).is_ok());
+
+    // Too few examples to split off a validation set.
+    let one = task.train.subset(&[0]);
+    assert!(matches!(
+        train_ensemble(archs, &one, &Strategy::FullData, &good),
+        Err(MotherNetsError::DataMismatch { .. })
+    ));
+    assert!(matches!(
+        trained.hatch_additional(&extra, &one, &mcfg, &good),
+        Err(MotherNetsError::DataMismatch { .. })
+    ));
+
+    // Failed growth appended nothing; a good configuration still grows.
+    assert_eq!(trained.members.len(), 1);
+    trained
+        .hatch_additional(&extra, &task.train, &mcfg, &good)
+        .unwrap();
+    assert_eq!(trained.members.len(), 2);
+    assert_eq!(trained.member_records.len(), 2);
+}
