@@ -85,7 +85,6 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
 }
 
 fn strategies() -> [Strategy; 7] {
-    let mothernets = |m: MotherNetsStrategy| Strategy::MotherNets(m);
     [
         Strategy::mothernets(),
         Strategy::FullData,
@@ -94,15 +93,15 @@ fn strategies() -> [Strategy; 7] {
             cycle_epochs: 2,
             ..SnapshotStrategy::default()
         }),
-        mothernets(MotherNetsStrategy {
+        Strategy::MotherNets(MotherNetsStrategy {
             tau: 1.0,
             ..MotherNetsStrategy::default()
         }),
-        mothernets(MotherNetsStrategy {
+        Strategy::MotherNets(MotherNetsStrategy {
             member_training: MemberTraining::FullData,
             ..MotherNetsStrategy::default()
         }),
-        mothernets(MotherNetsStrategy {
+        Strategy::MotherNets(MotherNetsStrategy {
             member_training: MemberTraining::None,
             ..MotherNetsStrategy::default()
         }),
